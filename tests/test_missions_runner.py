@@ -32,6 +32,8 @@ GOLDEN_MISSIONS = [
                             "matrix-silent-transient-sfs.toml")),
     ("corruption", os.path.join("missions", "matrix",
                                 "corruption-bitflip-sfs.toml")),
+    ("smp", os.path.join("missions", "matrix", "smp-crosstalk-2cpu.toml")),
+    ("crash", os.path.join("missions", "matrix", "crash-usd-sfs.toml")),
 ]
 
 
