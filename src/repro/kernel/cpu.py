@@ -88,14 +88,21 @@ class CpuAccount:
 
             sim.spawn(stalled(), name="%s-stalled" % self.name)
             return done
+        # The common case: a burst within the quantum goes straight to
+        # the CPU model.
+        cpu = self.cpu
+        quantum = cpu.quantum
+        if quantum is None or ns <= quantum:
+            return cpu._consume(self, ns, label)
         return self._dispatch(ns, label)
 
     def _dispatch(self, ns, label):
         # Quantum splitting + handoff to the CPU model (post-barrier).
-        quantum = getattr(self.cpu, "quantum", None)
+        cpu = self.cpu
+        quantum = cpu.quantum
         if quantum is None or ns <= quantum:
-            return self.cpu._consume(self, ns, label)
-        sim = self.cpu.sim
+            return cpu._consume(self, ns, label)
+        sim = cpu.sim
         done = sim.event("cpu.split-burst")
 
         def chunker():
@@ -194,11 +201,7 @@ class AtroposCpu:
         return account
 
     def _consume(self, account, ns, label):
-        def serve():
-            if ns:
-                yield self.sim.timeout(ns)
-            return None
-        return account._client.submit(serve, label=label)
+        return account._client.submit(None, label, ns)
 
 
 DEFAULT_MIGRATION_COST = 50 * US
@@ -320,11 +323,7 @@ class SmpAtroposCpu:
     # -- serving -----------------------------------------------------------
 
     def _consume(self, account, ns, label):
-        def serve():
-            if ns:
-                yield self.sim.timeout(ns)
-            return None
-        return account._client.submit(serve, label=label)
+        return account._client.submit(None, label, ns)
 
     # -- migration ---------------------------------------------------------
 

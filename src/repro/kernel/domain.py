@@ -71,6 +71,9 @@ class Domain:
         # its name once instead of per iteration.
         self._wake_name = "%s.wake" % self.name
         self._wake = sim.event(self._wake_name)
+        # Raised by every _kick (each channel send kicks its receiver),
+        # lowered by a channel scan that finds nothing undelivered.
+        self._maybe_pending = False
         self._last_thread = None
         self._rr_next = 0
         # Bound metrics children: one cell per domain, shared by all of
@@ -105,6 +108,7 @@ class Domain:
     # -- kernel interface ------------------------------------------------------
 
     def _kick(self):
+        self._maybe_pending = True
         if not self._wake.triggered:
             self._wake.trigger(None)
 
@@ -130,14 +134,25 @@ class Domain:
     # -- execution ----------------------------------------------------------------
 
     def _has_pending_events(self):
-        return any(channel.pending for channel in self.channels)
+        """Whether any channel holds undelivered events.
+
+        O(1) while the channels are quiet: only a domain kicked since
+        its last empty scan looks at its channels.
+        """
+        if not self._maybe_pending:
+            return False
+        for channel in self.channels:
+            if channel.pending:
+                return True
+        self._maybe_pending = False
+        return False
 
     def _runnable_thread(self):
         """Round-robin choice among runnable threads."""
         n = len(self.threads)
         for offset in range(n):
             thread = self.threads[(self._rr_next + offset) % n]
-            if thread.runnable:
+            if thread.state is ThreadState.RUNNABLE:
                 self._rr_next = (self._rr_next + offset + 1) % n
                 return thread
         return None
@@ -152,21 +167,25 @@ class Domain:
     def _run(self):
         sim = self.sim
         while not self.dead:
-            has_events = self._has_pending_events()
-            thread = None if has_events else self._runnable_thread()
-            if not has_events and thread is None:
-                if self._wake.triggered:
-                    self._wake = sim.event(self._wake_name)
+            if self._has_pending_events():
+                burst = self._activate()
+            else:
+                thread = self._runnable_thread()
+                if thread is None:
+                    if self._wake.triggered:
+                        self._wake = sim.event(self._wake_name)
+                        continue
+                    yield self._wake
                     continue
-                yield self._wake
-                continue
-            if has_events:
-                yield from self._activate()
-                continue
-            yield from self._step(thread)
+                burst = self._step(thread)
+            if burst is not None:
+                yield burst
 
     def _activate(self):
-        """One activation: drain events through notification handlers."""
+        """One activation: drain events through notification handlers.
+
+        Returns the activation's CPU burst, or None if it cost nothing.
+        """
         self.activations += 1
         self._c_activations.inc()
         self.meter.charge("activate")
@@ -183,9 +202,7 @@ class Domain:
             self.in_activation_handler = False
         # Leaving the activation handler enters the ULTS (§6.5 step 4).
         self.meter.charge("ults_schedule")
-        burst = self._charge_meter()
-        if burst is not None:
-            yield burst
+        return self._charge_meter()
 
     def _advance(self, thread):
         """Advance a thread's generator to its next effect (or death)."""
@@ -203,7 +220,11 @@ class Domain:
         return effect
 
     def _step(self, thread):
-        """Execute one effect of one thread."""
+        """Execute one effect of one thread.
+
+        Returns the step's CPU burst for :meth:`_run` to wait on, or
+        None if the step cost nothing.
+        """
         if thread is not self._last_thread:
             self.meter.charge("thread_switch")
             self._last_thread = thread
@@ -211,20 +232,19 @@ class Domain:
         if effect is None:
             effect = self._advance(thread)
             if effect is None:  # thread finished
-                burst = self._charge_meter()
-                if burst is not None:
-                    yield burst
-                return
+                return self._charge_meter()
             thread.pending_effect = effect
 
-        if isinstance(effect, Compute):
+        kind = type(effect)
+        if kind is Compute:
             thread.pending_effect = None
             total = effect.ns + self.meter.take()
             if total:
-                yield self.cpu.consume(total, label=effect.label)
-        elif isinstance(effect, Touch):
-            yield from self._step_touch(thread, effect)
-        elif isinstance(effect, Wait):
+                return self.cpu.consume(total, label=effect.label)
+            return None
+        if kind is Touch:
+            return self._step_touch(thread, effect)
+        if kind is Wait:
             thread.pending_effect = None
             event = effect.event
             if event.triggered:
@@ -237,16 +257,14 @@ class Domain:
                 thread.wait_event = event
                 event.add_callback(
                     lambda ev, t=thread: self._event_wakeup(t, ev))
-            burst = self._charge_meter()
-            if burst is not None:
-                yield burst
-        elif isinstance(effect, Yield):
+            return self._charge_meter()
+        if kind is Yield:
             thread.pending_effect = None
             thread.next_send = None
-        else:
-            raise TypeError(
-                "thread %s yielded %r; threads must yield Compute/Touch/"
-                "Wait/Yield effects" % (thread.name, effect))
+            return None
+        raise TypeError(
+            "thread %s yielded %r; threads must yield Compute/Touch/"
+            "Wait/Yield effects" % (thread.name, effect))
 
     def _step_touch(self, thread, effect):
         result = self.kernel.access(self.protdom, effect.va, effect.kind)
@@ -259,9 +277,7 @@ class Domain:
             thread.state = ThreadState.FAULTED
             thread.faults += 1
             self.kernel.dispatch_fault(self, thread, result)
-        burst = self._charge_meter()
-        if burst is not None:
-            yield burst
+        return self._charge_meter()
 
     def _event_wakeup(self, thread, event):
         if thread.state is not ThreadState.BLOCKED:

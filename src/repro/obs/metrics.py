@@ -25,6 +25,7 @@ Everything is simulation-agnostic: no clocks, no simulator imports.
 """
 
 import json
+from bisect import bisect_left
 
 
 def _label_key(labels):
@@ -147,7 +148,11 @@ class _BoundGauge:
 
 
 class _HistogramCell:
-    """Bucket counts + sum + count for one label set."""
+    """Bucket counts + sum + count for one label set.
+
+    The cell is also the bound instrument ``HistogramFamily.child()``
+    hands out, so an observation is a single call.
+    """
 
     __slots__ = ("bounds", "counts", "sum", "count")
 
@@ -160,33 +165,13 @@ class _HistogramCell:
     def observe(self, value):
         self.count += 1
         self.sum += value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
-
-
-class _BoundHistogram:
-    __slots__ = ("_cell",)
-
-    def __init__(self, cell):
-        self._cell = cell
-
-    def observe(self, value):
-        self._cell.observe(value)
-
-    @property
-    def count(self):
-        return self._cell.count
-
-    @property
-    def sum(self):
-        return self._cell.sum
+        # The first bucket whose bound is >= value (bounds are inclusive
+        # upper bounds); past the last bound, the overflow bucket.
+        self.counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self):
-        return self._cell.sum / self._cell.count if self._cell.count else 0.0
+        return self.sum / self.count if self.count else 0.0
 
 
 class _Family:
@@ -277,7 +262,7 @@ class HistogramFamily(_Family):
         return _HistogramCell(self.bounds)
 
     def _bind(self, cell):
-        return _BoundHistogram(cell)
+        return cell
 
     def observe(self, value, **labels):
         self._cell(labels).observe(value)

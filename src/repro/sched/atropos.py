@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.sim.core import Interrupt
+from repro.sim.core import Interrupt, SimEvent, Timeout
 from repro.sim.units import fmt_time
 
 
@@ -98,17 +98,20 @@ class WorkItem:
 
     ``serve`` is a zero-argument callable returning a *generator* that
     performs the work in simulated time (e.g. wraps
-    ``disk.transaction(...)`` or a plain timeout). ``done`` triggers with
-    the generator's return value when the item completes.
+    ``disk.transaction(...)``), or ``None`` for a plain burst: ``ns``
+    nanoseconds of service, which the scheduler serves as one timeout
+    (the CPU schedulers' items). ``done`` triggers with the generator's
+    return value (``None`` for a burst) when the item completes.
     """
 
-    __slots__ = ("serve", "done", "label", "submitted_at")
+    __slots__ = ("serve", "done", "label", "ns", "submitted_at")
 
-    def __init__(self, serve, done, label=""):
+    def __init__(self, serve, done, label="", ns=0, submitted_at=None):
         self.serve = serve
         self.done = done
         self.label = label
-        self.submitted_at = None
+        self.ns = ns
+        self.submitted_at = submitted_at
 
 
 class AtroposClient:
@@ -119,6 +122,7 @@ class AtroposClient:
         self.name = name
         self.qos = qos
         self._index = index          # admission order, EDF tie-break
+        self._done_name = "%s.done" % name
         self.queue = deque()
         self.remaining = qos.slice_ns
         self.deadline = scheduler.sim.now + qos.period_ns
@@ -169,15 +173,20 @@ class AtroposClient:
 
     # -- client-facing API -------------------------------------------------
 
-    def submit(self, serve, label=""):
-        """Queue a work item; returns the completion SimEvent."""
+    def submit(self, serve, label="", ns=0):
+        """Queue a work item; returns the completion SimEvent.
+
+        ``serve`` returns the item's generator; pass ``None`` and ``ns``
+        for a plain burst of that many nanoseconds (see
+        :class:`WorkItem`).
+        """
         if self.departed:
             raise RuntimeError("client %s has departed" % self.name)
-        done = self.scheduler.sim.event("%s.done" % self.name)
-        item = WorkItem(serve, done, label=label)
-        item.submitted_at = self.scheduler.sim.now
-        self.queue.append(item)
-        self._g_queue.set(len(self.queue))
+        sim = self.scheduler.sim
+        done = SimEvent(sim, self._done_name)
+        queue = self.queue
+        queue.append(WorkItem(serve, done, label, ns, sim._now))
+        self._g_queue.set(len(queue))
         # Work arrived: the current workless stretch ends, so the lax
         # allowance refreshes — but a client already marked idle (lax
         # exhausted) stays ignored "until its next periodic allocation"
@@ -225,9 +234,6 @@ class AtroposClient:
         """
         return not (self.departed or self.remaining <= 0
                     or self.lax_exhausted)
-
-    def _sort_key(self):
-        return (self.deadline, self._index)
 
 
 class AtroposScheduler:
@@ -313,8 +319,9 @@ class AtroposScheduler:
         *after* it (same time, later insertion order) so the loop is
         provably dead before the item is touched. The in-flight item is
         returned to the head of its owner's queue: ``WorkItem.serve``
-        is a zero-argument callable returning a fresh generator, so
-        re-serving after :meth:`restart` replays the whole transaction
+        is a zero-argument callable returning a fresh generator (or the
+        item is a plain burst of ``WorkItem.ns``), so re-serving after
+        :meth:`restart` replays the whole transaction or burst
         (abort-and-replay). Partially-elapsed service time dies with
         the loop uncharged; the replay is charged in full to the same
         owner, so a crash can never shift cost onto a bystander.
@@ -384,10 +391,18 @@ class AtroposScheduler:
             self._kick()
 
     def _pick(self):
-        """EDF among runnable clients; None if there are none."""
+        """EDF among runnable clients; None if there are none.
+
+        This runs at least once per work item, so the
+        :attr:`AtroposClient.runnable` test is inlined. Clients are kept
+        in admission order, so a strict deadline comparison breaks ties
+        by admission index.
+        """
         best = None
         for client in self.clients:
-            if client.runnable and (best is None or client._sort_key() < best._sort_key()):
+            if client.departed or client.remaining <= 0 or client.lax_exhausted:
+                continue
+            if best is None or client.deadline < best.deadline:
                 best = client
         return best
 
@@ -398,30 +413,40 @@ class AtroposScheduler:
             return None
         best = None
         for client in self.clients:
-            if (not client.departed and client.qos.extra and client.queue
-                    and not client.runnable):
-                if best is None or client._sort_key() < best._sort_key():
-                    best = client
+            if (client.queue and client.qos.extra and not client.departed
+                    and (client.remaining <= 0 or client.lax_exhausted)
+                    and (best is None or client.deadline < best.deadline)):
+                best = client
         return best
 
     def _serve(self, client, item, charged):
-        """Run one item to completion, measuring and charging its time."""
-        start = self.sim.now
+        """Run one item to completion, measuring and charging its time.
+
+        A plain burst (``item.serve is None``) is served as one timeout
+        of ``item.ns``; anything else runs the item's generator.
+        """
+        sim = self.sim
+        start = sim._now
         self._current = (client, item)
         try:
-            value = yield from item.serve()
+            if item.serve is None:
+                value = None
+                if item.ns:
+                    yield Timeout(sim, item.ns)
+            else:
+                value = yield from item.serve()
         except Interrupt:
             # Crash in flight: die; _abort_current requeues the item.
             raise
         except Exception as exc:  # propagate to the submitter, keep scheduling
             self._current = None
-            duration = self.sim.now - start
+            duration = sim._now - start
             if charged:
                 client.remaining -= duration
             item.done.fail(exc)
             return
         self._current = None
-        duration = self.sim.now - start
+        duration = sim._now - start
         client._h_txn.observe(duration)
         client._c_items.inc()
         if charged:
@@ -429,13 +454,16 @@ class AtroposScheduler:
             client.served_items += 1
             client.served_ns += duration
             client._c_served_ns.inc(duration)
-            self._record("txn", client, duration=duration, label=item.label,
-                         remaining=client.remaining)
+            if self.trace is not None:
+                self._record("txn", client, duration=duration,
+                             label=item.label, remaining=client.remaining)
         else:
             client.slack_items += 1
             client.slack_ns += duration
             client._c_slack_ns.inc(duration)
-            self._record("slack", client, duration=duration, label=item.label)
+            if self.trace is not None:
+                self._record("slack", client, duration=duration,
+                             label=item.label)
         item.done.trigger(value)
 
     def _loop(self):
@@ -461,7 +489,7 @@ class AtroposScheduler:
             # instant (a closed-loop client "thinks" for zero time). Let
             # same-instant callbacks land before judging it workless —
             # on real hardware this work would already be visible.
-            yield sim.timeout(0)
+            yield Timeout(sim, 0)
             if client.queue:
                 continue
             # Lax wait: the earliest-deadline client has no work. Hold the

@@ -578,7 +578,9 @@ class NemesisSystem:
 
     @property
     def now(self):
-        return self.sim.now
+        # Read the clock directly: thread bodies stamp times through
+        # this on every operation.
+        return self.sim._now
 
     # -- observability ----------------------------------------------------------
 

@@ -132,7 +132,7 @@ class TestPayload:
 def _live_metric_objects():
     """Count live bound-instrument/cell objects after a full collection."""
     classes = (metrics_mod._BoundCounter, metrics_mod._BoundGauge,
-               metrics_mod._BoundHistogram, metrics_mod._HistogramCell)
+               metrics_mod._HistogramCell)
     gc.collect()
     return sum(isinstance(obj, classes) for obj in gc.get_objects())
 

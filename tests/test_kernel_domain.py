@@ -1,11 +1,13 @@
 """Tests for domains: threads, effects, activations, fault dispatch."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.mmu import AccessKind, FaultCode
 from repro.kernel.threads import Compute, Thread, ThreadState, Touch, Wait, Yield
 from repro.mm.rights import Rights
 from repro.sim.units import MS, SEC, US
+from repro.system import NemesisSystem
 
 
 @pytest.fixture
@@ -243,3 +245,41 @@ class TestActivations:
         thread = app.spawn(body())
         system.sim.run_until_triggered(thread.done, limit=1 * SEC)
         assert app.domain.cpu.consumed_ns >= 7 * MS
+
+
+#: Operations on one domain's event channels: a send on one of three
+#: test channels, a direct activation, a short run (the domain activates
+#: itself), or a kill.
+_CHANNEL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 2)),
+    st.tuples(st.just("activate")),
+    st.tuples(st.just("run"), st.integers(0, 3)),
+    st.tuples(st.just("kill")),
+), max_size=30)
+
+
+class TestPendingEventTracking:
+    @settings(max_examples=50, deadline=None)
+    @given(ops=_CHANNEL_OPS)
+    def test_pending_flag_matches_a_full_channel_scan(self, ops):
+        """The O(1) "maybe pending" flag never hides an undelivered
+        event: after every operation, ``_has_pending_events()`` agrees
+        with a scan of every channel the domain owns."""
+        system = NemesisSystem()
+        domain = system.new_app("pending", guaranteed_frames=1).domain
+        channels = [domain.create_channel("c%d" % index)
+                    for index in range(3)]
+        # Channel 1's handler relays to channel 2, so sends also happen
+        # inside activations.
+        channels[1].handler = channels[2].send
+        for op in ops:
+            if op[0] == "send":
+                channels[op[1]].send(op)
+            elif op[0] == "activate":
+                domain._activate()
+            elif op[0] == "run":
+                system.run_for(op[1] * 20 * US)
+            else:
+                domain.kill("test")
+            assert domain._has_pending_events() == any(
+                channel.pending for channel in domain.channels)

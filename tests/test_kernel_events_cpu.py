@@ -141,6 +141,23 @@ class TestAtroposCpu:
         ratio = progress["big"] / progress["small"]
         assert 2.5 <= ratio <= 3.5  # 6:2 guarantee
 
+    def test_crash_replays_the_in_flight_burst_in_full(self, sim):
+        cpu = AtroposCpu(sim)
+        account = cpu.register("a", qos=QoSSpec(period_ns=10 * MS,
+                                                slice_ns=5 * MS))
+        done = account.consume(300 * US)
+        sim.run(until=100 * US)
+        cpu.sched.crash()
+        sim.run(until=1 * MS)
+        assert not done.triggered
+        cpu.sched.restart()
+        sim.run_until_triggered(done, limit=1 * SEC)
+        # The aborted 100 us die uncharged; the replay runs the whole
+        # burst again and is charged once, to the same client.
+        assert sim.now == 1 * MS + 300 * US
+        client = account._client
+        assert (client.served_ns, client.served_items) == (300 * US, 1)
+
 
 class TestQuantumSplitting:
     def test_long_burst_does_not_block_small_ones(self, sim):

@@ -101,6 +101,17 @@ class TestHistogram:
         assert cell["buckets"] == [1, 1, 1]
         assert cell["count"] == 3
         assert cell["sum"] == 1021
+        # Every default latency bound: bound-1 and bound land in its
+        # bucket, bound+1 in the next one (the overflow after the last).
+        for index, bound in enumerate(LATENCY_BUCKETS_NS):
+            latency = registry.histogram("latency_%d" % index,
+                                         buckets=LATENCY_BUCKETS_NS)
+            for value in (bound - 1, bound, bound + 1):
+                latency.observe(value)
+            expected = [0] * (len(LATENCY_BUCKETS_NS) + 1)
+            expected[index] = 2
+            expected[index + 1] = 1
+            assert latency.get()["buckets"] == expected, bound
 
     def test_bound_child_stats(self):
         child = MetricsRegistry().histogram("h", buckets=(5,)).child(c="x")
