@@ -3,7 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs chaos chaos-pressure report bench bench-smoke \
     scale scale-smoke smp smp-smoke regimes regimes-smoke sweep \
-    sweep-smoke missions-lint matrix-drift crash integrity lint docs-lint
+    sweep-smoke missions-lint matrix-drift experiments-drift crash \
+    integrity lint docs-lint
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -90,6 +91,12 @@ missions-lint:
 matrix-drift:
 	$(PYTHON) -m repro.missions.matrix --out $${TMPDIR:-/tmp}/matrix-drift
 	diff -ru missions/matrix $${TMPDIR:-/tmp}/matrix-drift
+
+# EXPERIMENTS.md must be exactly what the code produces: regenerate it
+# into a scratch file (about 20 s) and fail on any drift.
+experiments-drift:
+	$(PYTHON) -m repro.exp.regenerate $${TMPDIR:-/tmp}/experiments-drift.md
+	diff -u EXPERIMENTS.md $${TMPDIR:-/tmp}/experiments-drift.md
 
 # Crash plane: supervised component-crash recovery scenario
 # (results/crash.json; recovery budgets, bystander retention and the
