@@ -1,10 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs chaos chaos-pressure report bench bench-smoke \
-    scale scale-smoke smp smp-smoke regimes regimes-smoke sweep \
-    sweep-smoke missions-lint matrix-drift experiments-drift crash \
-    integrity lint docs-lint
+.PHONY: verify test obs report bench bench-smoke smp smp-smoke regimes \
+    regimes-smoke sweep sweep-smoke missions-lint experiments-drift lint \
+    docs-lint
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -17,18 +16,6 @@ obs:
 	    tests/test_obs_instrumentation.py \
 	    tests/test_properties_sched.py \
 	    tests/test_sim_trace_units.py
-
-# Fault-storm scenario: the chaos experiment plus the chaos-marked
-# acceptance tests (deselected from the default pytest run).
-chaos:
-	$(PYTHON) -m repro.exp chaos
-	$(PYTHON) -m pytest -q -m chaos
-
-# Memory-pressure scenario: hostile-domain revocation + clean-before-
-# release under a disk storm, plus the pressure-marked acceptance tests.
-chaos-pressure:
-	$(PYTHON) -m repro.exp chaos --pressure
-	$(PYTHON) -m pytest -q -m pressure
 
 # Accountability workload + JSON metrics snapshot (results/metrics.json).
 report:
@@ -44,18 +31,9 @@ bench:
 bench-smoke:
 	$(PYTHON) -m repro.exp bench --smoke
 
-# Multi-volume USBS scale-out + failure-containment experiment
-# (results/scale.json; gates enforced at full scale). `scale-smoke` is
-# the CI variant: reduced stretches and windows, gates reported only.
-scale:
-	$(PYTHON) -m repro.exp scale
-
-scale-smoke:
-	$(PYTHON) -m repro.exp scale --smoke
-
 # Multi-core crosstalk-containment + core-scaling experiment
-# (results/smp.json; gates enforced at full scale — full scale runs in
-# seconds, so CI runs it unreduced). `smp-smoke` reports only.
+# (results/smp.json; gates enforced — full scale runs in seconds, so
+# CI runs it unreduced). `smp-smoke` runs shorter windows, same gates.
 smp:
 	$(PYTHON) -m repro.exp smp
 
@@ -64,8 +42,8 @@ smp-smoke:
 
 # Translation-regime ablation: seg vs paged fault cost and bandwidth,
 # plus the per-stretch multi-pager registry under revocation waves
-# (results/regimes.json; gates enforced at full scale). `regimes-smoke`
-# is the CI variant: shorter windows, gates reported only.
+# (results/regimes.json; gates enforced). `regimes-smoke` is the CI
+# variant: shorter windows, same gates.
 regimes:
 	$(PYTHON) -m repro.exp regimes
 
@@ -74,9 +52,12 @@ regimes-smoke:
 
 # Declarative mission corpus (missions/ + missions/matrix/) across
 # parallel workers; per-mission reports in results/missions/, the
-# aggregate in results/sweep.json. `sweep-smoke` is the CI matrix
-# (missions marked smoke = true); `missions-lint` validates the whole
-# corpus without running a single simulation.
+# aggregate in results/sweep.json. Every scenario (chaos, pressure,
+# crash recovery, integrity, USBS scale-out, the matrix) is a mission
+# here; run one with `python -m repro.exp sweep NAME`. `sweep-smoke`
+# runs only the missions marked smoke = true, for a quick local check;
+# `missions-lint` validates the whole corpus without running a single
+# simulation.
 sweep:
 	$(PYTHON) -m repro.exp sweep
 
@@ -86,31 +67,11 @@ sweep-smoke:
 missions-lint:
 	$(PYTHON) -m repro.exp sweep --lint
 
-# The committed matrix corpus must match its generator byte-for-byte:
-# regenerate into a scratch dir and fail on any drift.
-matrix-drift:
-	$(PYTHON) -m repro.missions.matrix --out $${TMPDIR:-/tmp}/matrix-drift
-	diff -ru missions/matrix $${TMPDIR:-/tmp}/matrix-drift
-
 # EXPERIMENTS.md must be exactly what the code produces: regenerate it
 # into a scratch file (about 20 s) and fail on any drift.
 experiments-drift:
 	$(PYTHON) -m repro.exp.regenerate $${TMPDIR:-/tmp}/experiments-drift.md
 	diff -u EXPERIMENTS.md $${TMPDIR:-/tmp}/experiments-drift.md
-
-# Crash plane: supervised component-crash recovery scenario
-# (results/crash.json; recovery budgets, bystander retention and the
-# escalation ladder enforced), plus the crash-marked acceptance tests.
-crash:
-	$(PYTHON) -m repro.exp crash
-	$(PYTHON) -m pytest -q -m crash
-
-# Integrity plane: silent-corruption storms against the end-to-end
-# checksummed swap (results/integrity.json; zero undetected
-# corruptions, the repair ledger, scrub-overhead floors and the
-# rot-escalation drain enforced).
-integrity:
-	$(PYTHON) -m repro.exp integrity
 
 lint:
 	$(PYTHON) -m compileall -q src

@@ -1,15 +1,11 @@
 """Run the whole evaluation from the command line.
 
-    python -m repro.exp [table1|fig7|fig8|fig9|ablations|chaos|pressure|all]
-    python -m repro.exp chaos --pressure
+    python -m repro.exp [table1|fig7|fig8|fig9|ablations|all]
     python -m repro.exp report --metrics [--out DIR]
     python -m repro.exp bench [--smoke] [--reps N] [--out DIR]
-    python -m repro.exp scale [--smoke] [--out DIR]
     python -m repro.exp smp [--smoke] [--out DIR]
     python -m repro.exp regimes [--smoke] [--out DIR]
-    python -m repro.exp sweep [--smoke] [--lint] [--jobs N] [--out DIR]
-    python -m repro.exp crash [--out DIR]
-    python -m repro.exp integrity [--out DIR]
+    python -m repro.exp sweep [--smoke] [--lint] [--jobs N] [--out DIR] [NAME ...]
     python -m repro.exp --profile [experiment ...]
 
 Without arguments, everything runs at paper scale (~30 s of wall-clock
@@ -18,20 +14,19 @@ expected runtime). Individual experiments accept the same names as
 their modules. ``report`` runs the accountability workload and dumps
 a JSON metrics snapshot next to the figure outputs (see
 :mod:`repro.exp.metrics_report`); ``bench`` runs the performance-plane
-suite (:mod:`repro.exp.bench`); ``scale`` runs the multi-volume USBS
-scale-out and failure-containment experiment (:mod:`repro.exp.scale`);
-``smp`` runs the multi-core crosstalk-containment and core-scaling
-experiment (:mod:`repro.exp.smp`); ``regimes`` runs the
-segmentation-vs-paged translation-regime ablation and the multi-pager
-registry accountability gates (:mod:`repro.exp.regimes`);
-``sweep`` validates and executes the declarative mission corpus under
-``missions/`` across parallel workers (:mod:`repro.exp.sweep`);
-``crash`` runs the supervised component-crash recovery scenario
-(:mod:`repro.exp.crash`); ``integrity`` runs the silent-corruption
-detect/repair/declare scenario (:mod:`repro.exp.integrity`).
-``--profile`` wraps the selected
-experiments in :mod:`cProfile` and writes a pstats dump per experiment
-under ``results/`` alongside a printed top-25 by cumulative time.
+suite (:mod:`repro.exp.bench`); ``smp`` runs the multi-core
+crosstalk-containment and core-scaling experiment
+(:mod:`repro.exp.smp`); ``regimes`` runs the segmentation-vs-paged
+translation-regime ablation and the multi-pager registry
+accountability gates (:mod:`repro.exp.regimes`); ``sweep`` validates
+and executes the declarative mission corpus under ``missions/``
+across parallel workers (:mod:`repro.exp.sweep`). Every other
+scenario (the chaos and pressure storms, crash recovery, integrity,
+USBS scale-out) is a committed mission file, run by naming it:
+``python -m repro.exp sweep crash-recovery``. ``--profile`` wraps the
+selected experiments in :mod:`cProfile` and writes a pstats dump per
+experiment under ``results/`` alongside a printed top-25 by cumulative
+time.
 """
 
 import cProfile
@@ -40,9 +35,8 @@ import pstats
 import sys
 import time
 
-from repro.exp import (ablations, bench, chaos, crash, fig7, fig8, fig9,
-                       integrity, metrics_report, microbench, pressure,
-                       regimes, scale, smp, sweep)
+from repro.exp import (ablations, bench, fig7, fig8, fig9, metrics_report,
+                       microbench, regimes, smp, sweep)
 
 
 def _banner(title):
@@ -82,26 +76,12 @@ def run_ablations():
     ablations.main()
 
 
-def run_chaos():
-    """Chaos: the Figure-9 workload under a deterministic fault storm."""
-    _banner("Chaos — fault storm on the Figure-9 workload")
-    chaos.main()
-
-
-def run_pressure():
-    """Pressure: revocation ladder under sustained memory pressure."""
-    _banner("Pressure — revocation under memory pressure")
-    pressure.main()
-
-
 RUNNERS = {
     "table1": run_table1,
     "fig7": run_fig7,
     "fig8": run_fig8,
     "fig9": run_fig9,
     "ablations": run_ablations,
-    "chaos": run_chaos,
-    "pressure": run_pressure,
 }
 
 
@@ -128,22 +108,12 @@ def main(argv):
     profile = "--profile" in argv
     if profile:
         argv = [arg for arg in argv if arg != "--profile"]
-    if "--pressure" in argv:
-        # `chaos --pressure` selects the memory-pressure chaos scenario.
-        argv = [arg for arg in argv if arg != "--pressure"]
-        if "chaos" in argv:
-            argv[argv.index("chaos")] = "pressure"
-        elif "pressure" not in argv:
-            argv.append("pressure")
     if argv and argv[0] == "report":
         _banner("Metrics report")
         return metrics_report.main(argv[1:])
     if argv and argv[0] == "bench":
         _banner("Benchmark suite — performance plane")
         return bench.main(argv[1:])
-    if argv and argv[0] == "scale":
-        _banner("Scale — multi-volume USBS scale-out & containment")
-        return scale.main(argv[1:])
     if argv and argv[0] == "smp":
         _banner("SMP — multi-core crosstalk containment & scaling")
         return smp.main(argv[1:])
@@ -153,20 +123,15 @@ def main(argv):
     if argv and argv[0] == "sweep":
         _banner("Sweep — declarative mission corpus")
         return sweep.main(argv[1:])
-    if argv and argv[0] == "crash":
-        _banner("Crash — supervised component-crash recovery")
-        return crash.main(argv[1:])
-    if argv and argv[0] == "integrity":
-        _banner("Integrity — silent corruption, accountable repair")
-        return integrity.main(argv[1:])
     targets = argv or ["all"]
     if targets == ["all"]:
         targets = list(RUNNERS)
     unknown = [t for t in targets if t not in RUNNERS]
     if unknown:
         print("unknown experiment(s): %s" % ", ".join(unknown))
-        print("choose from: %s, all (also: report, bench, scale, smp, "
-              "regimes, sweep, crash, integrity)" % ", ".join(RUNNERS))
+        print("choose from: %s, all (also: report, bench, smp, regimes, "
+              "sweep)" % ", ".join(RUNNERS))
+        print("scenarios are missions: python -m repro.exp sweep NAME")
         return 1
     started = time.time()
     for target in targets:

@@ -30,7 +30,7 @@ def build(iterations=100):
     w("Regenerated by `python -m repro.exp.regenerate` from live runs of")
     w("the harness (benchmark-scale configurations; the CLI modules run")
     w("paper-scale). All runs are deterministic. The complete CLI —")
-    w("including the `chaos`, `chaos --pressure`, `report --metrics`,")
+    w("including the `sweep` (every scenario mission), `report --metrics`,")
     w("`bench` and `--profile` surfaces not shown in these tables — is")
     w('documented in README.md ("Running experiments"); the performance')
     w("plane that keeps these runs affordable is docs/PERFORMANCE.md.")

@@ -42,9 +42,8 @@ Inertness (the classic path is untouched)
     — so every pre-regimes experiment's output stays bit-identical.
 
 Run it with ``python -m repro.exp regimes`` or ``--smoke`` (shorter
-windows; reports the same numbers but does not enforce the gates).
-Writes ``regimes.json`` to ``--out`` (default ``results/``); exits
-non-zero if any gate fails.
+windows, same gates). Writes ``regimes.json`` to ``--out`` (default
+``results/``); exits non-zero if any gate fails, at either scale.
 """
 
 import json
@@ -429,11 +428,7 @@ def format_result(payload, config):
     lines.append("")
     gate_line = "  ".join("%s=%s" % (name, "PASS" if ok else "FAIL")
                           for name, ok in sorted(payload["gates"].items()))
-    if config.smoke:
-        lines.append("gates (reported, not enforced at smoke scale): "
-                     + gate_line)
-    else:
-        lines.append("gates: " + gate_line)
+    lines.append("gates: " + gate_line)
     return "\n".join(lines)
 
 
@@ -467,7 +462,7 @@ def main(argv=None):
     path = write_payload(payload, out_dir=out_dir)
     print()
     print("wrote %s" % path)
-    if not payload["passed"] and not config.smoke:
+    if not payload["passed"]:
         return 1
     return 0
 

@@ -24,12 +24,14 @@ behaviors, corruptions, crashes), lifted from the report's audit so a
 whole-corpus view of injection pressure needs no per-report spelunking.
 
     python -m repro.exp sweep                 # the full corpus
-    python -m repro.exp sweep --smoke         # the reduced CI matrix
+    python -m repro.exp sweep crash-recovery  # just the named missions
+    python -m repro.exp sweep --smoke         # the smoke = true subset
     python -m repro.exp sweep --lint          # validate only, no runs
     python -m repro.exp sweep --jobs 4 --out results
 
-Expected wall-clock: the full 20+3-mission corpus is ~30 s on four
-workers; ``--smoke`` is under 15 s.
+Expected wall-clock: the full 40-mission corpus takes about 60 s at
+``--jobs 1`` on a 2-vCPU x86-64 VM (the two full-scale ``scale-*``
+missions alone take about 22 s); ``--smoke`` is under 15 s.
 """
 
 import argparse
@@ -313,7 +315,7 @@ def format_aggregate(aggregate):
                          % (inv["check"], json.dumps(inv["observed"])))
         for vacuity in row["vacuous"]:
             lines.append("      vacuous: %s" % vacuity)
-        if not row["reproducible"]:
+        if row["reproducible"] is False:
             lines.append("      NOT reproducible")
     counts = aggregate["counts"]
     lines.append("")

@@ -1,12 +1,13 @@
 """The declarative mission plane.
 
 A *mission* is a TOML file (topology + workload + fault/behaviour
-plan + expected invariants) under ``missions/``; this package holds
-its schema (:mod:`repro.missions.schema`), the validating loader and
-canonical serialiser (:mod:`repro.missions.validate`), the headless
-deterministic runner (:mod:`repro.missions.runner`) and the matrix
-generator (:mod:`repro.missions.matrix`). ``python -m repro.exp
-sweep`` executes a mission corpus across parallel workers.
+plan + expected invariants) under ``missions/``; the committed files
+are the only definition of a scenario. This package holds the schema
+(:mod:`repro.missions.schema`), the validating loader and canonical
+serialiser (:mod:`repro.missions.validate`) and the headless
+deterministic runner (:mod:`repro.missions.runner`). ``python -m
+repro.exp sweep [NAME ...]`` executes the corpus, or the named
+missions, across parallel workers.
 """
 
 from repro.missions.runner import (MissionRunError, MissionRunner,

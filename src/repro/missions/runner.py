@@ -20,11 +20,9 @@ PASS/FAIL report:
 * with ``[determinism] repeat`` set, that run is executed a second
   time and the two payloads compared byte-for-byte as canonical JSON.
 
-Construction order deliberately mirrors the bespoke scenario runners
-this plane replaced (system -> domains in declared order -> plans ->
-drivers -> settle -> snapshot -> measure), so a ported mission
-reproduces the bespoke numbers *exactly* on the same seed — the
-equivalence tests hold the mission plane to that.
+Construction order (system -> domains in declared order -> plans ->
+drivers -> settle -> snapshot -> measure) is part of every report:
+reordering it moves the numbers the golden reports pin.
 
 Reports contain no wall-clock values: the same mission always yields
 the same bytes (the golden-report tests pin one per corpus family).
@@ -305,6 +303,15 @@ def _progress_delta(samples, name, start, end):
     """Bytes of progress ``name`` made across one (start, end) span."""
     return (_interp_progress(samples, name, end)
             - _interp_progress(samples, name, start))
+
+
+def _retention(check, payloads):
+    """Each of the check's ``domains``: its bandwidth in ``run`` as a
+    fraction of its bandwidth in ``baseline`` (0.0 if it had none)."""
+    base = payloads[check["baseline"]]["mbit"]
+    cur = payloads[check["run"]]["mbit"]
+    return {name: (cur[name] / base[name] if base[name] else 0.0)
+            for name in check["domains"]}
 
 
 # ---------------------------------------------------------------------------
@@ -1017,11 +1024,10 @@ class MissionRunner:
             out["observed"] = observed
             return out
 
-        if kind == "bandwidth_retention":
-            base = payloads[check["baseline"]]["mbit"]
-            cur = payloads[check["run"]]["mbit"]
-            retention = {name: (cur[name] / base[name] if base[name]
-                                else 0.0) for name in check["domains"]}
+        if kind in ("bandwidth_retention", "scrub_overhead"):
+            # scrub_overhead declares only a floor; bandwidth_retention
+            # either a floor or a tolerance around 1.0.
+            retention = _retention(check, payloads)
             if check["floor"] >= 0.0:
                 passed = all(value >= check["floor"]
                              for value in retention.values())
@@ -1083,17 +1089,13 @@ class MissionRunner:
             # The Figure-7 argument across cores: every bystander sits
             # on a different core from the hog AND kept >= floor of its
             # hog-free baseline bandwidth.
-            payload = payloads[check["run"]]
-            base = payloads[check["baseline"]]["mbit"]
-            cur = payload["mbit"]
-            core_of = payload.get("core_of", {})
+            core_of = payloads[check["run"]].get("core_of", {})
             hog_core = core_of.get(check["hog"])
             separated = hog_core is not None and all(
                 core_of.get(name) is not None
                 and core_of[name] != hog_core
                 for name in check["domains"])
-            retention = {name: (cur[name] / base[name] if base[name]
-                                else 0.0) for name in check["domains"]}
+            retention = _retention(check, payloads)
             passed = separated and all(value >= check["floor"]
                                        for value in retention.values())
             return verdict(passed, {
@@ -1186,16 +1188,6 @@ class MissionRunner:
                                     "repaired": repaired, "lost": lost,
                                     "accounted": detected
                                     == repaired + lost})
-        if kind == "scrub_overhead":
-            base = payloads[check["baseline"]]["mbit"]
-            cur = payloads[check["run"]]["mbit"]
-            retention = {name: (cur[name] / base[name] if base[name]
-                                else 0.0) for name in check["domains"]}
-            passed = all(value >= check["floor"]
-                         for value in retention.values())
-            return verdict(passed, {"retention": {
-                name: round(value, 4)
-                for name, value in retention.items()}})
         # The USBS containment family: all need the run's storm volume.
         payload = payloads[check["run"]]
         volumes = payload["volumes"]

@@ -2,7 +2,8 @@
 
 A *mission* is plain data — topology + workload + fault/behaviour plan
 + expected invariants — stored as a TOML file under ``missions/`` (or
-built as a dict by the thin scenario wrappers in :mod:`repro.exp`).
+built as a dict by the ``smp`` and ``regimes`` experiments in
+:mod:`repro.exp`).
 This module is the single source of truth for what a mission may say:
 the validator (:mod:`repro.missions.validate`) walks these specs to
 normalise raw input, the serialiser emits them back to TOML, and the
@@ -66,8 +67,8 @@ def _f(name, kind, default=None, choices=None, min=None, max=None):
 # Sections
 # ---------------------------------------------------------------------------
 
-#: ``[mission]`` — identity. ``smoke`` marks membership in the reduced
-#: CI matrix (``repro.exp sweep --smoke``).
+#: ``[mission]`` — identity. ``smoke`` marks membership in the quick
+#: subset (``repro.exp sweep --smoke``).
 MISSION_FIELDS = (
     _f("name", "str"),
     _f("family", "str",

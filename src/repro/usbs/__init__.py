@@ -21,9 +21,10 @@ contracts across them:
   control with rollback, the fault-exposure health monitor, and the
   degraded-volume drain.
 
-``repro.exp scale`` is the subsystem's experiment: aggregate paging
-bandwidth scaling near-linearly from one volume to four while the
-per-volume QoS split holds, and a single injected disk failure
+The subsystem's experiment is two committed missions, run with
+``python -m repro.exp sweep scale-scaling scale-failover``: aggregate
+paging bandwidth scaling near-linearly from one volume to four while
+the per-volume QoS split holds, and a single injected disk failure
 degrading only the extents placed on that volume.
 """
 

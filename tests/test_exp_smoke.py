@@ -8,7 +8,7 @@ tests only verify the harness machinery end-to-end at tiny scale, so
 
 import pytest
 
-from repro.exp import fig7, fig8, fig9, microbench, scale
+from repro.exp import fig7, fig8, fig9, microbench
 from repro.exp.common import small_config
 
 TINY = small_config(stretch_bytes=32 * 8192, swap_bytes=64 * 8192,
@@ -62,47 +62,3 @@ class TestFigureHarnesses:
         second = fig7.run(TINY)
         assert first.bandwidth_mbit == second.bandwidth_mbit
 
-
-TINY_SCALE = scale.ScaleConfig(
-    stretch_bytes=16 * 8192, swap_bytes=32 * 8192, frames=8,
-    prefetch_depth=4, populate_limit_sec=60.0, settle_sec=0.5,
-    measure_sec=1.0, storm_rate=1.0, storm_sec=1.0,
-    drain_limit_sec=20.0, smoke=True)
-
-
-class TestScaleHarness:
-    """Machinery checks at tiny scale; the gates themselves are the
-    business of ``python -m repro.exp scale`` at full scale."""
-
-    def test_scaling_legs_produce_bandwidth(self):
-        result = scale.run_scaling(TINY_SCALE)
-        for key in ("one_volume", "striped"):
-            leg = result[key]
-            assert set(leg["bandwidth_mbit"]) == {"scale-10", "scale-20",
-                                                  "scale-40"}
-            assert leg["aggregate_mbit"] > 0
-        # Three domains on one volume vs four: one shard per domain in
-        # leg A, four in leg B.
-        assert len(result["one_volume"]["volume_shares"]) == 3
-        assert len(result["striped"]["volume_shares"]) == 12
-        assert result["scaling"] > 1.0
-
-    def test_failover_leg_contains_the_storm(self):
-        result = scale.run_failover(TINY_SCALE)
-        leaked = {name: count
-                  for name, count in result["exposure_by_volume"].items()
-                  if name != result["victim_volume"] and count}
-        assert leaked == {}
-        assert result["victim_state"] in ("degraded", "retired")
-        assert result["drains_done"] >= 1
-        assert result["relocated_to"] != result["victim_volume"]
-
-    def test_payload_shape_and_formatting(self):
-        payload = scale.run(TINY_SCALE)
-        assert payload["schema_version"] == scale.SCHEMA_VERSION
-        assert set(payload["gates"]) == {
-            "scaling", "qos_shares", "exposure_contained",
-            "degraded_and_drained", "losses_contained",
-            "bystanders_retained"}
-        text = scale.format_result(payload, TINY_SCALE)
-        assert "Scale-out" in text and "retention" in text

@@ -1,7 +1,7 @@
 """The ``repro.exp sweep`` CLI: corpus lint, parallel execution, and
 the aggregate ``sweep.json`` contract.
 
-The heavy corpus itself runs in CI via ``make sweep-smoke``; these
+The heavy corpus itself runs in CI via ``make sweep``; these
 tests exercise the machinery on sub-second missions — discovery,
 up-front lint abort, worker-pool execution, smoke/name filtering, and
 the aggregate's canonical layout.
@@ -127,6 +127,43 @@ class TestSweep:
             aggregate = json.load(fh)
         assert [row["name"] for row in aggregate["missions"]] \
             == ["tiny-smoke"]
+
+    def test_named_mission_runs_alone(self, corpus, tmp_path, capsys):
+        """Naming a mission runs that mission only: its report is the
+        only one written, and the aggregate has its row alone."""
+        out = tmp_path / "results"
+        code = sweep.main(["--missions", str(corpus), "--jobs", "1",
+                           "--out", str(out), "tiny-smoke"])
+        assert code == 0
+        assert sorted(os.listdir(out / "missions")) == ["tiny-smoke.json"]
+        with open(out / "sweep.json", encoding="utf-8") as fh:
+            aggregate = json.load(fh)
+        assert [row["name"] for row in aggregate["missions"]] \
+            == ["tiny-smoke"]
+        assert "1/1 passed" in capsys.readouterr().out
+
+    def test_mission_without_repeat_leg_is_not_flagged(
+            self, tmp_path, capsys):
+        """A mission with no determinism repeat reports
+        ``reproducible: null``; its PASS row carries no
+        NOT-reproducible flag."""
+        directory = tmp_path / "missions"
+        directory.mkdir()
+        mission = tiny_mission(name="tiny-once", seed=13)
+        mission["determinism"]["repeat"] = ""
+        (directory / "tiny-once.toml").write_text(
+            serialize_mission(mission), encoding="utf-8")
+        out = tmp_path / "results"
+        code = sweep.main(["--missions", str(directory), "--jobs", "1",
+                           "--out", str(out)])
+        assert code == 0
+        with open(out / "sweep.json", encoding="utf-8") as fh:
+            row = json.load(fh)["missions"][0]
+        assert row["passed"] is True
+        assert row["reproducible"] is None
+        text = capsys.readouterr().out
+        assert "tiny-once" in text and "1/1 passed" in text
+        assert "NOT reproducible" not in text
 
     def test_failing_mission_fails_the_sweep(self, tmp_path, capsys):
         """An unsatisfiable invariant turns up as a FAIL row with the

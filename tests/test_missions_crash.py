@@ -6,7 +6,7 @@ and the supervision-backed expectations, a sub-second supervised
 crash mission end-to-end (recovery, retention machinery, determinism),
 the vacuous-crash audit, and the ``hung`` canonical report driven by
 an injected fake clock. The full-scale corpus missions are marked
-``crash`` and run via ``make crash``.
+``crash`` and run via ``pytest -m crash``.
 """
 
 import os
@@ -194,7 +194,7 @@ class TestDeadlineGuard:
 
 @pytest.mark.crash
 class TestCorpusMissions:
-    """Full-scale crash-recovery corpus cells (``make crash``)."""
+    """Full-scale crash-recovery corpus cells (``pytest -m crash``)."""
 
     @pytest.mark.parametrize("name", [
         "crash-pager-sfs", "crash-balancer-sfs", "crash-usd-sfs",

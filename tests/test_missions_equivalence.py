@@ -1,119 +1,49 @@
-"""Equivalence: mission-backed wrappers == the bespoke runners.
+"""The committed scenario missions keep every gate of the scenario
+modules they replaced.
 
-When chaos/pressure/scale became thin wrappers over the mission plane,
-their outputs were captured first (``tests/golden/
-bespoke_equivalence.json`` holds the pre-refactor numbers, byte for
-byte).  These tests hold the wrappers — and the committed corpus
-missions behind them — to exact equality with that capture on the same
-seeds: floats, counters, kill sets, and the frames-allocator trace
-digests all match or the port regressed.
-
-The chaos and pressure wrapper runs ride their scenario markers (they
-re-execute the full storms); the structural corpus checks and the
-tiny-scale ``scale`` equivalence are cheap enough for tier 1.
+The chaos, pressure, crash-recovery, integrity and USBS scale-out
+scenarios used to be Python modules that built a mission, ran it and
+re-derived a verdict. The committed TOML files are now their only
+definition, so each must declare the checks those verdicts enforced:
+a port that drops a gate fails here, in tier 1, without running a
+simulation. The numbers themselves are pinned by the chaos-fig9 and
+pressure-revocation golden reports, the ``chaos``/``pressure`` marker
+tests, and the sweep, which fails any mission whose checks fail.
 """
 
-import json
 import os
 
-import pytest
-
-from repro.exp import chaos, pressure, scale
 from repro.missions import load_mission
+from tests.test_missions_runner import REPO
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "golden",
-                       "bespoke_equivalence.json")
-
-#: The mission sections that determine a run's numbers.  ``mission``
-#: (description/smoke flag) and ``expect`` (declared invariants) are
-#: presentation: two missions equal on these sections produce
-#: byte-identical run payloads under the deterministic runner.
-RUN_SECTIONS = ("schema", "topology", "workload", "drivers",
-                "behaviors", "phases", "runs", "determinism")
-
-#: The tiny configuration the scale capture was taken at — small
-#: stretches and windows so the equivalence run stays in tier-1 time.
-TINY_SCALE = scale.ScaleConfig(
-    stretch_bytes=16 * 8192, swap_bytes=32 * 8192, frames=8,
-    prefetch_depth=4, populate_limit_sec=60.0, settle_sec=0.5,
-    measure_sec=1.0, storm_rate=1.0, storm_sec=1.0,
-    drain_limit_sec=20.0, smoke=True)
-
-
-def _fixture(key):
-    with open(FIXTURE, encoding="utf-8") as fh:
-        return json.load(fh)[key]
-
-
-def _run_sections(mission):
-    return {key: mission[key] for key in RUN_SECTIONS}
+#: mission file -> (check kinds its scenario module enforced, whether
+#: it also gated a byte-identical determinism repeat).
+SCENARIO_GATES = {
+    "chaos-fig9": ({"bandwidth_retention"}, True),
+    "pressure-revocation": (
+        {"min_frames", "kill_set", "claim_granted",
+         "bandwidth_retention"}, True),
+    "crash-recovery": (
+        {"kill_set", "recovered", "restart_budget",
+         "bystander_retention_during_crash", "progress"}, True),
+    "integrity-accountability": (
+        {"undetected_corruptions", "repaired", "scrub_overhead",
+         "progress", "share_error", "drained"}, True),
+    "scale-scaling": ({"scaling", "share_error"}, False),
+    "scale-failover": (
+        {"bandwidth_retention", "exposure_contained", "drained",
+         "losses_contained"}, False),
+}
 
 
 class TestCorpusMatchesWrappers:
-    """The committed corpus files are the wrappers' missions: equal on
-    every run-determining section (they add only description, the
-    smoke flag, and declared ``expect`` invariants)."""
-
-    def test_chaos_corpus(self):
-        corpus = load_mission("missions/chaos-fig9.toml")
-        built = chaos.build_mission(chaos.ChaosConfig())
-        assert _run_sections(corpus) == _run_sections(built)
-
-    def test_pressure_corpus(self):
-        corpus = load_mission("missions/pressure-revocation.toml")
-        built = pressure.build_mission(pressure.PressureConfig())
-        assert _run_sections(corpus) == _run_sections(built)
+    """Each scenario mission declares the gates of the module it
+    replaced."""
 
     def test_corpus_declares_invariants(self):
-        """The corpus versions are not vacuous ports: each declares
-        the invariant checks its bespoke verdict used to compute."""
-        chaos_checks = [e["check"] for e in
-                        load_mission("missions/chaos-fig9.toml")["expect"]]
-        assert "bandwidth_retention" in chaos_checks
-        pressure_checks = [
-            e["check"] for e in
-            load_mission("missions/pressure-revocation.toml")["expect"]]
-        for check in ("min_frames", "kill_set", "claim_granted",
-                      "bandwidth_retention"):
-            assert check in pressure_checks
-
-
-@pytest.mark.chaos
-class TestChaosEquivalence:
-    """chaos.run() reproduces the bespoke runner's capture exactly."""
-
-    def test_wrapper_matches_bespoke_capture(self):
-        expected = _fixture("chaos")
-        result = chaos.run()
-        assert result.baseline == expected["baseline"]
-        assert result.storm == expected["storm"]
-        assert result.stats == expected["stats"]
-        assert result.victim == expected["victim"]
-        assert result.reproducible == expected["reproducible"]
-        assert result.passed
-
-
-@pytest.mark.pressure
-class TestPressureEquivalence:
-    """pressure.run() reproduces the bespoke runner's capture exactly,
-    including the frames-allocator trace digests."""
-
-    def test_wrapper_matches_bespoke_capture(self):
-        expected = _fixture("pressure")
-        result = pressure.run()
-        assert result.baseline == expected["baseline"]
-        assert result.storm == expected["storm"]
-        assert result.reproducible == expected["reproducible"]
-        assert (result.storm["trace_digest"]
-                == expected["storm"]["trace_digest"])
-        assert result.passed
-
-
-class TestScaleEquivalence:
-    """scale.run() at the tiny capture scale reproduces the bespoke
-    payload exactly — every leg, share table, and containment gate."""
-
-    def test_tiny_payload_matches_bespoke_capture(self):
-        expected = _fixture("scale_tiny")
-        payload = scale.run(TINY_SCALE)
-        assert payload == expected
+        for name, (kinds, repeat) in sorted(SCENARIO_GATES.items()):
+            mission = load_mission(os.path.join(REPO, "missions",
+                                                "%s.toml" % name))
+            declared = {check["check"] for check in mission["expect"]}
+            assert kinds <= declared, (name, sorted(kinds - declared))
+            assert bool(mission["determinism"]["repeat"]) == repeat, name

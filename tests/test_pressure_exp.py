@@ -1,29 +1,48 @@
 """The memory-pressure chaos scenario as a pytest (marked ``pressure``).
 
-Deselected by default (see ``addopts`` in pyproject.toml); run with
-``make chaos-pressure`` or ``pytest -m pressure``.
+Runs the committed ``missions/pressure-revocation.toml``. Deselected
+by default (see ``addopts`` in pyproject.toml); run with
+``pytest -m pressure``.
 """
+
+import os
 
 import pytest
 
-from repro.exp import pressure
+from repro.missions import load_mission, run_mission
+from tests.test_missions_runner import REPO
+
+MISSION = os.path.join(REPO, "missions", "pressure-revocation.toml")
 
 
 @pytest.mark.pressure
 def test_pressure_scenario_passes():
-    result = pressure.run()
+    mission = load_mission(MISSION)
+    report = run_mission(mission)
+    baseline, storm = report["runs"]["baseline"], report["runs"]["storm"]
+    coops = sorted(baseline["mbit"])
+    guaranteed = {domain["name"]: domain["guaranteed_frames"]
+                  for domain in mission["workload"]["domains"]}
+    (claim_frames,) = [driver["frames"] for driver in mission["drivers"]
+                       if driver["kind"] == "claim"]
+    (floor,) = [check["floor"] for check in mission["expect"]
+                if check["check"] == "bandwidth_retention"]
     # Every acceptance property individually, for a readable failure.
-    assert result.guarantees_held, (
+    assert all(payload["min_allocated"][name] >= guaranteed[name]
+               for payload in (baseline, storm) for name in coops), (
         "a cooperative domain dipped below its guarantee: baseline=%r "
-        "storm=%r" % (result.baseline["min_allocated"],
-                      result.storm["min_allocated"]))
-    assert result.hostile_killed_only, (
+        "storm=%r" % (baseline["min_allocated"], storm["min_allocated"]))
+    assert all(payload["kills"] == {"hostile": 1}
+               for payload in (baseline, storm)), (
         "kills were not exactly the hostile domain: baseline=%r storm=%r"
-        % (result.baseline["kills"], result.storm["kills"]))
-    assert result.claim_satisfied
-    for name in result.coops:
-        assert result.retention(name) >= result.config.retention_floor, (
+        % (baseline["kills"], storm["kills"]))
+    assert all(payload["claim_granted"] == claim_frames
+               for payload in (baseline, storm))
+    for name in coops:
+        retention = (storm["mbit"][name] / baseline["mbit"][name]
+                     if baseline["mbit"][name] else 0.0)
+        assert retention >= floor, (
             "%s retained only %.1f%% of fault-free bandwidth"
-            % (name, 100 * result.retention(name)))
-    assert result.reproducible, "same-seed storm runs diverged"
-    assert result.passed
+            % (name, 100 * retention))
+    assert report["reproducible"], "same-seed storm runs diverged"
+    assert report["passed"]
