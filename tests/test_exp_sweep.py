@@ -119,28 +119,21 @@ class TestSweep:
 
     def test_smoke_filter_selects_marked_missions(
             self, corpus, tmp_path, capsys):
-        out = tmp_path / "results"
-        code = sweep.main(["--smoke", "--missions", str(corpus),
-                           "--out", str(out)])
-        assert code == 0
-        with open(out / "sweep.json", encoding="utf-8") as fh:
-            aggregate = json.load(fh)
-        assert [row["name"] for row in aggregate["missions"]] \
-            == ["tiny-smoke"]
-
-    def test_named_mission_runs_alone(self, corpus, tmp_path, capsys):
-        """Naming a mission runs that mission only: its report is the
-        only one written, and the aggregate has its row alone."""
-        out = tmp_path / "results"
-        code = sweep.main(["--missions", str(corpus), "--jobs", "1",
-                           "--out", str(out), "tiny-smoke"])
-        assert code == 0
-        assert sorted(os.listdir(out / "missions")) == ["tiny-smoke.json"]
-        with open(out / "sweep.json", encoding="utf-8") as fh:
-            aggregate = json.load(fh)
-        assert [row["name"] for row in aggregate["missions"]] \
-            == ["tiny-smoke"]
-        assert "1/1 passed" in capsys.readouterr().out
+        """``--smoke`` and naming a mission both run tiny-smoke alone:
+        its report is the only one written, and the aggregate has its
+        row alone."""
+        for label, select in (("smoke", ["--smoke"]),
+                              ("named", ["tiny-smoke"])):
+            out = tmp_path / label
+            code = sweep.main(["--missions", str(corpus), "--jobs", "1",
+                               "--out", str(out)] + select)
+            assert code == 0
+            assert os.listdir(out / "missions") == ["tiny-smoke.json"]
+            with open(out / "sweep.json", encoding="utf-8") as fh:
+                aggregate = json.load(fh)
+            assert [row["name"] for row in aggregate["missions"]] \
+                == ["tiny-smoke"]
+            assert "1/1 passed" in capsys.readouterr().out
 
     def test_mission_without_repeat_leg_is_not_flagged(
             self, tmp_path, capsys):
