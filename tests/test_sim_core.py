@@ -322,11 +322,19 @@ class TestRunUntilTriggered:
             sim.run_until_triggered(event)
 
     def test_respects_limit(self, sim):
+        ticks = []
+
         def ticker():
             while True:
                 yield sim.timeout(1 * MS)
+                ticks.append(sim.now)
 
         sim.spawn(ticker())
         event = sim.event()
         with pytest.raises(SimulationError):
             sim.run_until_triggered(event, limit=10 * MS)
+        assert ticks[-1] == 10 * MS
+        # The first entry past the limit is kept, so running on sees
+        # the next tick.
+        sim.run(until=11 * MS)
+        assert ticks[-1] == 11 * MS
