@@ -9,7 +9,9 @@ steps, the experiments' per-page processing). Three models are provided:
 * :class:`FifoCpu` — a single CPU served in FIFO order: correct
   serialisation, no QoS. The paper's paging experiments are disk-bound,
   and this is the default for them (documented in DESIGN.md); the CPU
-  QoS machinery is exercised by its own tests and example.
+  QoS machinery is exercised by its own tests and example. It is a
+  server of heap callbacks, not a simulator process, since every burst
+  of every paper figure passes through it.
 * :class:`UnlimitedCpu` — infinitely parallel CPU (each burst just takes
   its duration). Useful in unit tests isolating other components.
 * :class:`SmpAtroposCpu` — the multi-core plane: N CPUs, each with its
@@ -24,10 +26,12 @@ expose ``consume(ns) -> SimEvent``.
 """
 
 from collections import deque
+from heapq import heappush
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.place import PlacementError, PlacementPolicy
 from repro.sched.atropos import ClientDepartedError, QoSSpec
+from repro.sim.core import SimEvent
 from repro.sim.units import MS, US
 
 
@@ -140,36 +144,61 @@ class UnlimitedCpu:
 
 
 class FifoCpu:
-    """One CPU, bursts served strictly in arrival order."""
+    """One CPU, bursts served strictly in arrival order.
+
+    A server of three heap callbacks, not a simulator process. A burst
+    arriving at an idle CPU schedules :meth:`_start` at the current
+    instant; each burst then takes :meth:`_elapsed` after its duration
+    and :meth:`_complete` at that same instant, which triggers the
+    burst's event and starts the next queued burst. A zero-length burst
+    completes as soon as it is started. docs/PERFORMANCE.md ("one FIFO
+    burst") explains why each entry stays. Like
+    :class:`~repro.sim.core.Timeout`, the server pushes its entries onto
+    the simulator's heap itself.
+    """
 
     def __init__(self, sim, quantum=DEFAULT_QUANTUM):
         self.quantum = quantum
         self.sim = sim
-        self._queue = deque()
-        self._wake = sim.event("cpu.wake")
-        sim.spawn(self._loop(), name="fifo-cpu")
+        self._queue = deque()   # (ns, done); the head is being served
+        self._busy = False
 
     def register(self, name, qos=None):
         return CpuAccount(self, name)
 
     def _consume(self, account, ns, label):
-        done = self.sim.event("cpu.burst")
+        sim = self.sim
+        done = SimEvent(sim, "cpu.burst")
         self._queue.append((ns, done))
-        if not self._wake.triggered:
-            self._wake.trigger(None)
+        if not self._busy:
+            self._busy = True
+            sim._seq += 1
+            heappush(sim._heap, (sim._now, sim._seq, FifoCpu._start, self))
         return done
 
-    def _loop(self):
-        while True:
-            if not self._queue:
-                if self._wake.triggered:
-                    self._wake = self.sim.event("cpu.wake")
-                yield self._wake
-                continue
-            ns, done = self._queue.popleft()
+    def _start(self):
+        # Serve the head; the CPU goes idle once the queue drains.
+        queue = self._queue
+        while queue:
+            ns, done = queue[0]
             if ns:
-                yield self.sim.timeout(ns)
+                sim = self.sim
+                sim._seq += 1
+                heappush(sim._heap, (sim._now + ns, sim._seq,
+                                     FifoCpu._elapsed, self))
+                return
+            queue.popleft()
             done.trigger(None)
+        self._busy = False
+
+    def _elapsed(self):
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim._now, sim._seq, FifoCpu._complete, self))
+
+    def _complete(self):
+        self._queue.popleft()[1].trigger(None)
+        self._start()
 
 
 DEFAULT_CPU_QOS = QoSSpec(period_ns=10 * MS, slice_ns=1 * MS, extra=True,

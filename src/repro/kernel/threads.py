@@ -106,6 +106,9 @@ class Thread:
         self.wait_event = None        # event a BLOCKED thread waits on
         self.done = domain.sim.event("%s.done" % self.name)
         self.faults = 0               # memory faults taken
+        # Registered on the event of every Wait: one bound method for
+        # the thread's life instead of a closure per Wait.
+        self.wait_cb = self._wait_done
 
     @property
     def runnable(self):
@@ -122,6 +125,20 @@ class Thread:
         if self.state is ThreadState.BLOCKED:
             self.next_send = value
         self.wait_event = None
+        self.state = ThreadState.RUNNABLE
+        self.domain._kick()
+
+    def _wait_done(self, event):
+        """A waited-on event triggered: resume with its value."""
+        if self.state is not ThreadState.BLOCKED:
+            return  # killed or already resumed
+        if self.wait_event is not event:
+            return  # stale wakeup: a watchdog detached this wait
+        self.wait_event = None
+        if event._is_error:
+            self.next_throw = event._value
+        else:
+            self.next_send = event._value
         self.state = ThreadState.RUNNABLE
         self.domain._kick()
 

@@ -222,6 +222,27 @@ class TestActivations:
         system.run_for(10 * MS)
         assert observed == [("hello", True)]
 
+    def test_domain_and_fifo_cpu_spawn_no_process(self, system):
+        """A domain's turns and the FIFO CPU's bursts are heap callbacks:
+        running threads that compute, wait and yield spawns no simulator
+        process."""
+        def spawned():
+            return system.metrics.snapshot().get("sim_processes_spawned_total")
+
+        before = spawned()
+        app = system.new_app("callbacks", guaranteed_frames=1)
+
+        def body():
+            for _ in range(5):
+                yield Compute(30 * US)
+                yield Wait(system.sim.timeout(10 * US))
+                yield Yield()
+
+        thread = app.spawn(body())
+        system.sim.run_until_triggered(thread.done, limit=1 * SEC)
+        assert app.domain.cpu.bursts > 5
+        assert spawned() == before
+
     def test_domain_kill_stops_everything(self, system):
         app = system.new_app("victim", guaranteed_frames=2)
 
