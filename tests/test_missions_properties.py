@@ -156,6 +156,14 @@ _CORRUPTIONS = [
          {"name": "bad", "topology": d["topology"],
           "faults": [{"kind": "transient", "rate": 0.5,
                       "scope": "extent:nosuch"}]})),
+    ("runs-names-no-run",
+     lambda d: d["workload"]["domains"][0].__setitem__("runs", ["nosuch"])),
+    ("check-on-unbuilt-domain", lambda d: (
+        d["workload"]["domains"][0].__setitem__("runs", ["baseline"]),
+        d["runs"][1].__setitem__("faults", []),
+        d["expect"].append({"check": "progress", "run": "storm",
+                            "domains": [d["workload"]["domains"][0]
+                                        ["name"]]}))),
 ]
 
 
