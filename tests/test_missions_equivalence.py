@@ -1,9 +1,9 @@
 """The committed scenario missions keep every gate of the scenario
 modules they replaced.
 
-The chaos, pressure, crash-recovery, integrity and USBS scale-out
-scenarios used to be Python modules that built a mission, ran it and
-re-derived a verdict. The committed TOML files are now their only
+The chaos, pressure, crash-recovery, integrity, USBS scale-out, SMP
+scaling and translation-regime scenarios used to be Python modules
+that built a mission, ran it and re-derived a verdict. The committed TOML files are now their only
 definition, so each must declare the checks those verdicts enforced:
 a port that drops a gate fails here, in tier 1, without running a
 simulation. The numbers themselves are pinned by the chaos-fig9 and
@@ -33,6 +33,11 @@ SCENARIO_GATES = {
     "scale-failover": (
         {"bandwidth_retention", "exposure_contained", "drained",
          "losses_contained"}, False),
+    "smp-scaling": ({"scaling", "progress"}, True),
+    "regimes-bandwidth": ({"kill_set", "progress", "scaling"}, True),
+    "regimes-revocation-waves": (
+        {"min_frames", "kill_set", "progress", "bandwidth_retention"},
+        True),
 }
 
 

@@ -23,7 +23,8 @@ from repro.missions import (load_mission, report_json, run_mission,
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(REPO, "tests", "golden")
 
-#: One committed golden report per corpus family.
+#: One committed golden report per corpus family, plus smp-scaling:
+#: its one-core run pins the single-core SmpAtroposCpu output.
 GOLDEN_MISSIONS = [
     ("chaos", os.path.join("missions", "chaos-fig9.toml")),
     ("pressure", os.path.join("missions", "pressure-revocation.toml")),
@@ -33,6 +34,7 @@ GOLDEN_MISSIONS = [
     ("corruption", os.path.join("missions", "matrix",
                                 "corruption-bitflip-sfs.toml")),
     ("smp", os.path.join("missions", "matrix", "smp-crosstalk-2cpu.toml")),
+    ("smp-scaling", os.path.join("missions", "smp-scaling.toml")),
     ("crash", os.path.join("missions", "matrix", "crash-usd-sfs.toml")),
 ]
 
