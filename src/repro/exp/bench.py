@@ -240,31 +240,28 @@ def bench_usbs_scaleout(volumes=4, stretch_kb=512, measure_sec=1.5):
 def bench_seg_vs_paged(pages=64):
     """First-touch fault resolution under both translation regimes.
 
-    Runs the :mod:`repro.exp.regimes` fault-cost probe back to back:
-    the seg regime resolves its whole stretch with one extent fault,
-    the paged regime demand-zeroes page by page from a primed pool.
-    ops == total faults resolved across both regimes (``pages + 1``),
-    deterministic for a fixed page count. The extra payload records
-    each regime's *simulated* per-page fault-resolution cost — also
-    deterministic, so it doubles as a regression net for the fault
-    path itself, independent of host speed.
+    Runs Table 1's regime side observation
+    (:func:`repro.exp.microbench.seg_vs_paged`): the seg regime
+    resolves its whole stretch with one extent fault, the paged regime
+    demand-zeroes page by page from a primed pool. ops == total faults
+    resolved across both regimes (``pages + 1``), deterministic for a
+    fixed page count. The extra payload records each regime's
+    *simulated* per-page fault-resolution cost — also deterministic,
+    so it doubles as a regression net for the fault path itself,
+    independent of host speed.
     """
-    from repro.exp.regimes import RegimesConfig, _first_touch_ns
+    from repro.exp.microbench import seg_vs_paged
 
-    config = RegimesConfig(cost_pages=pages)
     start = time.perf_counter()
-    seg = _first_touch_ns(config, "seg")
-    paged = _first_touch_ns(config, "paged")
+    costs = seg_vs_paged(pages)
     wall = time.perf_counter() - start
-    ops = seg["faults"] + paged["faults"]
-    ratio = (seg["ns_per_page"] / paged["ns_per_page"]
-             if paged["ns_per_page"] else 0.0)
+    seg, paged = costs["seg"], costs["paged"]
     extra = {
         "seg_ns_per_page": round(seg["ns_per_page"], 1),
         "paged_ns_per_page": round(paged["ns_per_page"], 1),
-        "seg_over_paged": round(ratio, 4),
+        "seg_over_paged": round(costs["seg_over_paged"], 4),
     }
-    return ops, wall, extra
+    return seg["faults"] + paged["faults"], wall, extra
 
 
 def bench_table1(iterations=40):

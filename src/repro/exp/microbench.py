@@ -28,6 +28,11 @@ CPU; the rest are measured with the cost meter around the operation.
 The OSF1 column is the paper's own published numbers (OSF1 is not
 reproducible); the paper's Nemesis column is included for comparison.
 
+One side observation is not from the paper: the first-touch fault
+cost of one stretch under the segmentation-style regime of
+:mod:`repro.regimes` against the classic paged regime
+(:func:`first_touch`).
+
 Expected runtime: well under a second
 (`python -m repro.exp table1`).
 """
@@ -41,7 +46,8 @@ from repro.kernel.threads import Compute, Touch
 from repro.mm.physical import PhysicalDriver
 from repro.mm.rights import Rights
 from repro.mm.sdriver import FaultOutcome
-from repro.sim.units import SEC, US
+from repro.sched.atropos import QoSSpec
+from repro.sim.units import MS, SEC, US
 from repro.system import NemesisSystem
 from repro.exp import report
 
@@ -83,6 +89,11 @@ class Table1Result:
         paper = PAPER_NEMESIS[key]
         ours = self.measured[key]
         return paper / factor <= ours <= paper * factor
+
+
+#: The regime side observation, one line (the CLI and EXPERIMENTS.md).
+SEG_VS_PAGED = ("first-touch fault cost, seg vs paged regime (64 pages): "
+                "%.2f vs %.2f us per page, %.2fx")
 
 
 def _fresh(pagetable="linear"):
@@ -330,6 +341,60 @@ def bench_appel2(npages=100):
 
 
 # ---------------------------------------------------------------------------
+# Side observation: first-touch cost per translation regime
+# ---------------------------------------------------------------------------
+
+def first_touch(regime, pages=64):
+    """Simulated cost of first-touching every page of one ``pages``-page
+    stretch under ``regime`` (``"seg"`` or ``"paged"``).
+
+    Both systems are built identically; only the driver behind the
+    stretch differs. The seg regime maps the whole base+limit extent
+    on one fault. The paged pool is primed with one frame per page, so
+    every paged fault is a pure demand-zero (no eviction, no disk) —
+    the cheapest fault the classic regime can field, which makes the
+    seg comparison conservative. Returns the fault count and the
+    per-page, total and worst-fault nanoseconds.
+    """
+    system = _fresh()
+    app = system.new_app("cost-%s" % regime, guaranteed_frames=pages + 4)
+    stretch = app.new_stretch(pages * system.machine.page_size)
+    if regime == "seg":
+        driver = app.seg_driver()
+    else:
+        qos = QoSSpec(period_ns=50 * MS, slice_ns=20 * MS,
+                      laxity_ns=10 * MS)
+        driver = app.paged_driver(frames=pages, swap_bytes=1024 * 1024,
+                                  qos=qos)
+    app.bind(stretch, driver)
+    elapsed = []
+
+    def body():
+        for va in stretch.pages():
+            start = system.sim.now
+            yield Touch(va, AccessKind.WRITE)
+            elapsed.append(system.sim.now - start)
+
+    thread = app.spawn(body(), name="toucher")
+    system.sim.run_until_triggered(thread.done, limit=120 * SEC)
+    return {
+        "pages": pages,
+        "faults": sum(1 for ns in elapsed if ns),
+        "total_ns": sum(elapsed),
+        "ns_per_page": sum(elapsed) / pages,
+        "max_fault_ns": max(elapsed),
+    }
+
+
+def seg_vs_paged(pages=64):
+    """:func:`first_touch` under both regimes, and the per-page ratio."""
+    seg = first_touch("seg", pages)
+    paged = first_touch("paged", pages)
+    return {"seg": seg, "paged": paged,
+            "seg_over_paged": seg["ns_per_page"] / paged["ns_per_page"]}
+
+
+# ---------------------------------------------------------------------------
 # The full table
 # ---------------------------------------------------------------------------
 
@@ -348,6 +413,10 @@ def run(iterations=100):
     }
     measured["dirty_guarded_factor"] = (
         bench_dirty(iterations, pagetable="guarded") / measured["dirty"])
+    costs = seg_vs_paged()
+    measured["seg_first_touch"] = costs["seg"]["ns_per_page"] / US
+    measured["paged_first_touch"] = costs["paged"]["ns_per_page"] / US
+    measured["seg_over_paged"] = costs["seg_over_paged"]
     return Table1Result(measured=measured, iterations=iterations)
 
 
@@ -380,6 +449,8 @@ def format_table(result):
                % m["prot_idempotent"])
     out.append("guarded vs linear page table, dirty: %.1fx slower "
                "(paper: ~3x)" % m["dirty_guarded_factor"])
+    out.append(SEG_VS_PAGED % (m["seg_first_touch"], m["paged_first_touch"],
+                               m["seg_over_paged"]))
     return "\n".join(out)
 
 
