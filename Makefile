@@ -1,9 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs report bench bench-smoke smp smp-smoke regimes \
-    regimes-smoke sweep sweep-smoke missions-lint experiments-drift lint \
-    docs-lint
+.PHONY: verify test obs report bench bench-smoke sweep sweep-smoke \
+    missions-lint experiments-drift lint docs-lint
 
 # Tier-1 suite (the repo's acceptance bar) + the observability tests.
 verify: test obs
@@ -31,31 +30,13 @@ bench:
 bench-smoke:
 	$(PYTHON) -m repro.exp bench --smoke
 
-# Multi-core crosstalk-containment + core-scaling experiment
-# (results/smp.json; gates enforced — full scale runs in seconds, so
-# CI runs it unreduced). `smp-smoke` runs shorter windows, same gates.
-smp:
-	$(PYTHON) -m repro.exp smp
-
-smp-smoke:
-	$(PYTHON) -m repro.exp smp --smoke
-
-# Translation-regime ablation: seg vs paged fault cost and bandwidth,
-# plus the per-stretch multi-pager registry under revocation waves
-# (results/regimes.json; gates enforced). `regimes-smoke` is the CI
-# variant: shorter windows, same gates.
-regimes:
-	$(PYTHON) -m repro.exp regimes
-
-regimes-smoke:
-	$(PYTHON) -m repro.exp regimes --smoke
-
 # Declarative mission corpus (missions/ + missions/matrix/) across
 # parallel workers; per-mission reports in results/missions/, the
 # aggregate in results/sweep.json. Every scenario (chaos, pressure,
-# crash recovery, integrity, USBS scale-out, the matrix) is a mission
-# here; run one with `python -m repro.exp sweep NAME`. `sweep-smoke`
-# runs only the missions marked smoke = true, for a quick local check;
+# crash recovery, integrity, USBS scale-out, multi-core scaling, the
+# translation regimes, the matrix) is a mission here; run one with
+# `python -m repro.exp sweep NAME`. `sweep-smoke` runs only the
+# missions marked smoke = true, for a quick local check;
 # `missions-lint` validates the whole corpus without running a single
 # simulation.
 sweep:

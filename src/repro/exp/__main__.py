@@ -3,8 +3,6 @@
     python -m repro.exp [table1|fig7|fig8|fig9|ablations|all]
     python -m repro.exp report --metrics [--out DIR]
     python -m repro.exp bench [--smoke] [--reps N] [--out DIR]
-    python -m repro.exp smp [--smoke] [--out DIR]
-    python -m repro.exp regimes [--smoke] [--out DIR]
     python -m repro.exp sweep [--smoke] [--lint] [--jobs N] [--out DIR] [NAME ...]
     python -m repro.exp --profile [experiment ...]
 
@@ -14,19 +12,15 @@ expected runtime). Individual experiments accept the same names as
 their modules. ``report`` runs the accountability workload and dumps
 a JSON metrics snapshot next to the figure outputs (see
 :mod:`repro.exp.metrics_report`); ``bench`` runs the performance-plane
-suite (:mod:`repro.exp.bench`); ``smp`` runs the multi-core
-crosstalk-containment and core-scaling experiment
-(:mod:`repro.exp.smp`); ``regimes`` runs the segmentation-vs-paged
-translation-regime ablation and the multi-pager registry
-accountability gates (:mod:`repro.exp.regimes`); ``sweep`` validates
-and executes the declarative mission corpus under ``missions/``
-across parallel workers (:mod:`repro.exp.sweep`). Every other
-scenario (the chaos and pressure storms, crash recovery, integrity,
-USBS scale-out) is a committed mission file, run by naming it:
-``python -m repro.exp sweep crash-recovery``. ``--profile`` wraps the
-selected experiments in :mod:`cProfile` and writes a pstats dump per
-experiment under ``results/`` alongside a printed top-25 by cumulative
-time.
+suite (:mod:`repro.exp.bench`); ``sweep`` validates and executes the
+declarative mission corpus under ``missions/`` across parallel
+workers (:mod:`repro.exp.sweep`). Every scenario beyond the paper's
+figures (the chaos and pressure storms, crash recovery, integrity,
+USBS scale-out, multi-core scaling, the translation-regime ablation)
+is a committed mission file, run by naming it: ``python -m repro.exp
+sweep smp-scaling``. ``--profile`` wraps the selected experiments in
+:mod:`cProfile` and writes a pstats dump per experiment under
+``results/`` alongside a printed top-25 by cumulative time.
 """
 
 import cProfile
@@ -36,7 +30,7 @@ import sys
 import time
 
 from repro.exp import (ablations, bench, fig7, fig8, fig9, metrics_report,
-                       microbench, regimes, smp, sweep)
+                       microbench, sweep)
 
 
 def _banner(title):
@@ -114,12 +108,6 @@ def main(argv):
     if argv and argv[0] == "bench":
         _banner("Benchmark suite — performance plane")
         return bench.main(argv[1:])
-    if argv and argv[0] == "smp":
-        _banner("SMP — multi-core crosstalk containment & scaling")
-        return smp.main(argv[1:])
-    if argv and argv[0] == "regimes":
-        _banner("Regimes — seg/paged ablation & multi-pager registry")
-        return regimes.main(argv[1:])
     if argv and argv[0] == "sweep":
         _banner("Sweep — declarative mission corpus")
         return sweep.main(argv[1:])
@@ -129,8 +117,8 @@ def main(argv):
     unknown = [t for t in targets if t not in RUNNERS]
     if unknown:
         print("unknown experiment(s): %s" % ", ".join(unknown))
-        print("choose from: %s, all (also: report, bench, smp, regimes, "
-              "sweep)" % ", ".join(RUNNERS))
+        print("choose from: %s, all (also: report, bench, sweep)"
+              % ", ".join(RUNNERS))
         print("scenarios are missions: python -m repro.exp sweep NAME")
         return 1
     started = time.time()

@@ -23,10 +23,12 @@ self-paging invariants, swappable memory regime:
   ownership and revocation walking the registered drivers in declared
   priority order. All costs stay on the owning domain's contract.
 
-``repro.exp regimes`` is the ablation experiment built on these two:
-Table-1-style fault-resolution cost seg vs paged, fig7-style
-bandwidth under both regimes, and a three-pager domain held
-accountable under revocation pressure.
+The ablation built on these two is data: Table 1's first-touch
+fault cost seg vs paged (:func:`repro.exp.microbench.seg_vs_paged`),
+and the committed missions ``regimes-bandwidth`` (the fig7-style read
+loop under both regimes) and ``regimes-revocation-waves`` (a
+three-pager domain held accountable under revocation pressure), run
+with ``python -m repro.exp sweep NAME``.
 """
 
 from repro.regimes.registry import PagerRegistry

@@ -7,6 +7,7 @@ per-core crash."""
 import pytest
 
 from repro.missions import MissionError, run_mission, validate_mission
+from repro.system import NemesisSystem
 
 
 def smp_mission(**overrides):
@@ -117,6 +118,10 @@ class TestRunner:
         assert report["passed"]
         assert "core_of" not in report["runs"]["calm"]
         assert "cpu_shares" not in report["runs"]["calm"]
+        # The classic path builds no placement layer or per-core state.
+        cpu = NemesisSystem().cpu
+        assert getattr(cpu, "core_map", None) is None
+        assert getattr(cpu, "scheds", None) is None
 
     def test_supervised_core_crash_recovers(self):
         mission = smp_mission()

@@ -5,8 +5,11 @@ the per-stretch pager registry (multi-pager domains, declared
 revocation order), the satellite coexistence scenarios — nailed
 refusal under the escalation ladder, forgetful + mapped-file sharing
 one contract, mapped-file dirty cleaning under revocation — plus the
-mission-schema plumbing and the ``repro.exp regimes`` harness.
+mission-schema plumbing, the committed regime missions and Table 1's
+seg-vs-paged fault-cost side observation.
 """
+
+import os
 
 import pytest
 
@@ -201,6 +204,7 @@ class TestSegDriver:
     def test_seg_plane_attaches_once_and_only_on_use(self):
         system = NemesisSystem()
         assert system.translation.seg is None
+        assert system.translation.mmu.seg is None
         app = system.new_app("seg", guaranteed_frames=8)
         driver = app.seg_driver()
         assert system.translation.seg is not None
@@ -395,33 +399,33 @@ class TestMissionStretches:
 
 
 # ---------------------------------------------------------------------------
-# The experiment harness
+# The experiment: Table 1's side observation and the committed missions
 # ---------------------------------------------------------------------------
 
 class TestRegimesExperiment:
-    def test_classic_path_is_inert(self):
-        from repro.exp.regimes import classic_path_inert
-        assert classic_path_inert() is True
-
     def test_fault_costs_favour_seg(self):
-        from repro.exp.regimes import RegimesConfig, run_fault_costs
-        result = run_fault_costs(RegimesConfig(cost_pages=8))
+        from repro.exp.microbench import seg_vs_paged
+        result = seg_vs_paged(pages=8)
         assert result["seg"]["faults"] == 1
         assert result["paged"]["faults"] == 8
-        assert result["gates"]["seg_fault_cost_below_paged"] is True
+        assert result["seg"]["ns_per_page"] < result["paged"]["ns_per_page"]
         assert 0 < result["seg_over_paged"] < 1
 
-    def test_mission_builders_validate(self):
-        from repro.exp.regimes import (build_bandwidth_mission,
-                                       build_multipager_mission,
-                                       smoke_config)
-        config = smoke_config()
-        for regime in ("seg", "paged"):
-            build_bandwidth_mission(config, regime)
-        for pressure in (False, True):
-            mission = build_multipager_mission(config, pressure)
-            multi = mission["workload"]["domains"][0]
-            assert len(multi["stretches"]) == 2
+    def test_regime_missions_validate(self):
+        from repro.missions import load_mission
+        from tests.test_missions_runner import REPO
+
+        def load(name):
+            return load_mission(os.path.join(REPO, "missions",
+                                             "%s.toml" % name))
+
+        bandwidth = load("regimes-bandwidth")
+        assert [d["driver_kind"] for d in
+                bandwidth["workload"]["domains"]] == ["seg", "paged"]
+        waves = load("regimes-revocation-waves")
+        multi = waves["workload"]["domains"][0]
+        assert len(multi["stretches"]) == 2
+        assert [d["runs"] for d in waves["drivers"]] == [[], ["pressure"]]
 
     def test_bench_entry_records_regime_costs(self):
         from repro.exp import bench
