@@ -74,6 +74,23 @@ class TestLint:
         assert "INVALID" in out and "broken.toml" in out
         assert "mission.seed" in out
 
+    def test_duplicate_mission_name_across_directories_rejected(
+            self, corpus, tmp_path, capsys):
+        """Two files with one mission.name would write one report file,
+        the second overwriting the first: lint names both paths."""
+        other = tmp_path / "more"
+        other.mkdir()
+        twin = other / "twin.toml"
+        twin.write_text(serialize_mission(tiny_mission(name="tiny-full")),
+                        encoding="utf-8")
+        code = sweep.main(["--lint", "--missions", str(corpus),
+                           "--missions", str(other)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "INVALID" in out and "'tiny-full'" in out
+        assert str(twin) in out
+        assert str(corpus / "tiny-full.toml") in out
+
     def test_unknown_mission_name_rejected(self, corpus, capsys):
         code = sweep.main(["--missions", str(corpus), "nosuch"])
         assert code == 1
