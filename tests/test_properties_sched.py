@@ -1,15 +1,25 @@
 """More property-based scheduler tests: EDF ordering, determinism,
-admission monotonicity."""
+admission monotonicity, and every item resolving across departures and
+crashes."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.sched.atropos import AtroposScheduler, QoSSpec
 from repro.sim.core import Simulator
 from repro.sim.trace import Trace
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS, SEC, US
+
+
+#: One step against a scheduler: (submit kind or None, client index,
+#: item length in us, depart the client?, crash?, restart?, then run
+#: for this many us). A step does each of its parts in that order.
+STEP = st.tuples(
+    st.sampled_from((None, "burst", "item", "failing")),
+    st.integers(0, 2), st.integers(0, 4000),
+    st.booleans(), st.booleans(), st.booleans(), st.integers(0, 1000))
 
 
 def qos_strategy():
@@ -125,3 +135,69 @@ class TestSchedulerProperties:
                 with pytest.raises(ValueError):
                     sched.admit("c%d" % index, qos)
         assert sched.admitted_share() == pytest.approx(admitted)
+
+
+class TestEveryItemResolves:
+    @given(st.lists(qos_strategy(), min_size=1, max_size=3),
+           st.lists(STEP, max_size=30))
+    # The crash that used to drop a departed client's in-flight item.
+    @example([QoSSpec(period_ns=100 * MS, slice_ns=50 * MS)],
+             [("item", 0, 4000, False, False, False, 1000),
+              (None, 0, 0, True, True, False, 0)])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_items_resolve_once_and_completed_work_is_charged(self, specs,
+                                                              steps):
+        """Random submits (bursts, generator items and failing items),
+        ``depart(discard=True)``, ``crash()`` and ``restart()``: after a
+        final restart and a drain, every submitted item's event has
+        triggered or failed exactly once, and each client's served plus
+        slack time is exactly the summed length of its completed items
+        (an aborted attempt is never charged; its replay is)."""
+        sim = Simulator()
+        sched = AtroposScheduler(sim)
+        clients = [sched.admit("c%d" % index, qos)
+                   for index, qos in enumerate(specs)]
+        submitted = []   # (client, ns, done, callbacks fired)
+
+        def item(ns, fails):
+            def serve():
+                yield sim.timeout(ns)
+                if fails:
+                    raise IOError("item failed")
+                return ns
+            return serve
+
+        for kind, index, length, depart, crash, restart, gap in steps:
+            client = clients[index % len(clients)]
+            if kind is not None and not client.departed:
+                ns = length * US
+                if kind == "burst":
+                    done = client.submit(None, ns=ns)
+                else:
+                    done = client.submit(item(ns, kind == "failing"))
+                fired = []
+                done.add_callback(fired.append)
+                submitted.append((client, ns, done, fired))
+            if depart and not client.departed:
+                sched.depart(client, discard=True)
+            if crash:
+                sched.crash()
+            if restart and not sched.running:
+                sched.restart()
+            sim.run(until=sim.now + gap * US)
+        sim.run(until=sim.now)    # let a pending crash land
+        if not sched.running:
+            sched.restart()
+        deadline = sim.now + 10 * SEC
+        while (sim.now < deadline
+               and not all(fired for _, _, _, fired in submitted)):
+            sim.run(until=sim.now + 100 * MS)
+        completed = {client.name: 0 for client in clients}
+        for client, ns, done, fired in submitted:
+            assert done.triggered and len(fired) == 1, (client.name, ns)
+            if done.ok:
+                completed[client.name] += ns
+        for client in clients:
+            assert (client.served_ns + client.slack_ns
+                    == completed[client.name]), client.name
