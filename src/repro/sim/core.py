@@ -16,10 +16,12 @@ Work is expressed as *processes*: Python generators that ``yield``
 
 The simulator is intentionally small — a few hundred lines — but complete
 enough to express the whole Nemesis reproduction: one-shot events,
-timeouts, process join, interrupt (used to crash a scheduler loop or
-stop a balancer mid-wait), failure propagation, and AllOf/AnyOf
-combinators. Hot paths that need no generator frame (domains, the FIFO
-CPU) run as plain heap callbacks registered on events instead.
+timeouts, process join, interrupt (used to stop a balancer mid-wait),
+failure propagation, and AllOf/AnyOf combinators. Hot paths that need
+no generator frame of their own (domains, the FIFO CPU, every Atropos
+scheduling loop) run as plain heap callbacks instead, registered on
+events or pushed onto the heap; an Atropos loop steps a work item's
+generator itself, without a process around it.
 """
 
 import heapq
@@ -44,8 +46,9 @@ class SimulationError(Exception):
 class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
-    Fault injection uses this to crash a scheduler loop, and supervisors
-    to stop a balancer mid-sleep.
+    Supervisors use this to stop a balancer mid-sleep. A crashed Atropos
+    scheduling loop throws it into the work item it was serving, so the
+    item's ``finally`` blocks run.
     """
 
     def __init__(self, cause=None):
