@@ -426,13 +426,3 @@ class TestRegimesExperiment:
         multi = waves["workload"]["domains"][0]
         assert len(multi["stretches"]) == 2
         assert [d["runs"] for d in waves["drivers"]] == [[], ["pressure"]]
-
-    def test_bench_entry_records_regime_costs(self):
-        from repro.exp import bench
-        result = bench.run_benchmark("seg_vs_paged", reps=1, warmup=0,
-                                     smoke=True)
-        assert result["ops"] == 17    # 16 paged faults + 1 extent fault
-        extra = result["extra"]
-        assert set(extra) == {"seg_ns_per_page", "paged_ns_per_page",
-                              "seg_over_paged"}
-        assert extra["seg_over_paged"] < 1
