@@ -1,8 +1,10 @@
-"""Tests for tools/bench_compare.py on a synthetic three-pair record."""
+"""Tests for tools/bench_compare.py: a synthetic three-pair record, and
+the tables docs/PERFORMANCE.md says are its output."""
 
 import importlib.util
 import json
 import os
+import re
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "tools", "bench_compare.py")
@@ -57,3 +59,22 @@ def test_compare_prints_medians_quartiles_ratio_and_wins(tmp_path, capsys):
 def test_usage_error_without_a_file(capsys):
     assert _load_tool().main([]) == 2
     assert "bench_compare.py" in capsys.readouterr().err
+
+
+#: A sentence ending in the tool's command on a committed record, then
+#: the fenced block that claims to be its output.
+RECORDED_TABLE = re.compile(
+    r"`python3 tools/bench_compare\.py\s+(BENCH_[\w.-]+\.json)`:\n\n"
+    r"```\n(.*?)```", re.DOTALL)
+
+
+def test_performance_tables_are_the_tools_output(capsys):
+    root = os.path.dirname(os.path.dirname(TOOL))
+    with open(os.path.join(root, "docs", "PERFORMANCE.md")) as handle:
+        sections = RECORDED_TABLE.findall(handle.read())
+    # The FIFO burst path and the Atropos loop, at least.
+    assert len(sections) >= 2
+    tool = _load_tool()
+    for name, table in sections:
+        assert tool.main([os.path.join(root, name)]) == 0
+        assert capsys.readouterr().out == table, name
