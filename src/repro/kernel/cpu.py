@@ -229,6 +229,13 @@ class AtroposCpu:
         account._client = self.sched.admit(name, qos or DEFAULT_CPU_QOS)
         return account
 
+    def depart_account(self, account, discard=True):
+        """Release a domain's CPU contract so admission can re-grant it;
+        ends the client's refill loop and fails its queued bursts."""
+        client = account._client
+        if not client.departed:
+            self.sched.depart(client, discard=discard)
+
     def _consume(self, account, ns, label):
         return account._client.submit(None, label, ns)
 

@@ -276,16 +276,15 @@ class App:
         """Orderly teardown of the whole application.
 
         Kills the domain, force-unmaps and returns every owned frame,
-        destroys the app's stretches, and releases its USD guarantees
-        so admission control can re-grant them. Dirty pages are *not*
-        written back (this is exit, not suspend — call a driver's
-        ``sync()`` first if the data matters).
+        destroys the app's stretches, and releases its CPU share and
+        USD guarantees so admission control can re-grant them. Dirty
+        pages are *not* written back (this is exit, not suspend — call
+        a driver's ``sync()`` first if the data matters).
         """
         system = self.system
         self.domain.kill("shutdown")
-        # On the SMP platform, release the domain's per-core CPU share
-        # so admission control can re-grant it (single-CPU models keep
-        # their historical no-op behaviour).
+        # Release the domain's CPU share so admission control can
+        # re-grant it. The FIFO and unlimited models hold no contract.
         cpu_depart = getattr(system.cpu, "depart_account", None)
         if cpu_depart is not None:
             cpu_depart(self.domain.cpu, discard=True)

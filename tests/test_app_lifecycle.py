@@ -6,6 +6,7 @@ from repro.hw.mmu import AccessKind
 from repro.kernel.threads import Compute, Touch
 from repro.sched.atropos import QoSSpec
 from repro.sim.units import MS, SEC
+from repro.system import NemesisSystem
 
 MB = 1024 * 1024
 QOS = QoSSpec(period_ns=250 * MS, slice_ns=100 * MS, laxity_ns=10 * MS)
@@ -80,3 +81,24 @@ class TestShutdown:
         app.shutdown()
         app.shutdown()
         assert app.frames.allocated == 0
+
+
+@pytest.mark.parametrize("cpu_args", [{"cpu": "atropos"}, {"cpus": 1}],
+                         ids=["atropos", "cpus1"])
+def test_cpu_share_released(cpu_args):
+    system = NemesisSystem(**cpu_args)
+    # Ten domains at the default 10% CPU guarantee fill the CPU.
+    apps = [system.new_app("app%d" % i, guaranteed_frames=2)
+            for i in range(10)]
+    with pytest.raises(ValueError):
+        system.new_app("refused", guaranteed_frames=2)
+
+    def busy():
+        while True:
+            yield Compute(1 * MS)
+
+    apps[0].spawn(busy())
+    system.run_for(50 * MS)
+    apps[0].shutdown()
+    system.run_for(50 * MS)
+    system.new_app("successor", guaranteed_frames=2)
