@@ -15,6 +15,9 @@
   light, latency-sensitive client behind a shared FIFO pager sees its
   fault latency explode when a greedy client hammers the same pager;
   under per-client USD guarantees it does not.
+* :func:`stream_paging` — §8's stream-paging extension: a pipelined
+  mapped-file driver overlaps page-in IO with computation, and keeps
+  the disk stream busy even with zero laxity.
 
 Expected runtime: ~12 s (`python -m repro.exp ablations`).
 """
@@ -24,12 +27,16 @@ from typing import Dict
 
 from repro.baseline.external_pager import ExternalPager, PagerRequest
 from repro.baseline.fcfs_disk import FcfsDiskService
-from repro.exp.common import PagingConfig, run_paging_experiment, small_config
+from repro.exp.common import (MB, PagingConfig, run_paging_experiment,
+                               small_config)
 from repro.exp import fig9 as fig9_mod
 from repro.hw.disk import Disk, DiskRequest, READ, WRITE
+from repro.hw.mmu import AccessKind
+from repro.kernel.threads import Compute, Touch
 from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
 from repro.sim.units import MS, SEC, US
+from repro.system import NemesisSystem
 from repro.usd.usd import USD
 
 
@@ -69,14 +76,6 @@ class RolloverResult:
 
     usage_with: Dict[str, float]      # fraction of guarantee actually used
     usage_without: Dict[str, float]
-
-    def exceeds_without(self, name, slop=1.02):
-        """True if the client exceeds its guarantee without roll-over."""
-        return self.usage_without[name] > slop
-
-    def bounded_with(self, name, slop=1.02):
-        """True if roll-over keeps the client at/below its guarantee."""
-        return self.usage_with[name] <= slop
 
 
 def _usage_fraction(result):
@@ -284,6 +283,58 @@ def external_pager(greedy_clients=3):
                                usd_latency_ms=usd_ms,
                                pager_cpu_ms=pager_cpu,
                                greedy_clients=greedy_clients)
+
+
+# ---------------------------------------------------------------------------
+# Stream paging (the paper's §8 extension)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class StreamPagingResult:
+    """Elapsed ns and faults of a mapped-file scan, demand vs stream."""
+
+    demand_ns: int
+    demand_faults: int
+    stream_ns: int
+    stream_faults: int
+    demand_nolax_ns: int      # both drivers again with zero laxity
+    stream_nolax_ns: int
+
+
+def _scan(depth, laxity_ms):
+    """Scan a 4 MB mapped file through 8 frames at 2 ms CPU per page."""
+    system = NemesisSystem()
+    qos = QoSSpec(period_ns=100 * MS, slice_ns=80 * MS,
+                  laxity_ns=laxity_ms * MS)
+    data = system.filesystem.create("corpus", 4 * MB, qos)
+    app = system.new_app("scanner", guaranteed_frames=10)
+    stretch = app.new_stretch(4 * MB)
+    driver = app.mmap_driver(data, frames=8, prefetch_depth=depth)
+    app.bind(stretch, driver)
+
+    def body():
+        for va in stretch.pages():
+            yield Touch(va, AccessKind.READ)
+            yield Compute(2 * MS)
+
+    thread = app.spawn(body())
+    system.sim.run_until_triggered(thread.done, limit=600 * SEC)
+    return system.now, thread.faults
+
+
+def stream_paging():
+    """Demand paging vs a 4-deep stream-paging pipeline, at 5 ms
+    laxity and at none. Pipelining runs the scan at max(IO, CPU)
+    instead of IO + CPU, so most pages never fault; without laxity it
+    is what keeps the USD stream busy."""
+    demand_ns, demand_faults = _scan(0, 5)
+    stream_ns, stream_faults = _scan(4, 5)
+    demand_nolax_ns, _ = _scan(0, 0)
+    stream_nolax_ns, _ = _scan(4, 0)
+    return StreamPagingResult(
+        demand_ns=demand_ns, demand_faults=demand_faults,
+        stream_ns=stream_ns, stream_faults=stream_faults,
+        demand_nolax_ns=demand_nolax_ns, stream_nolax_ns=stream_nolax_ns)
 
 
 def main():

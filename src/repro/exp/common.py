@@ -2,9 +2,10 @@
 
 Figures 7 and 8 share everything except the stretch-driver variant and
 the access pattern; :func:`run_paging_experiment` runs either. The
-paper's parameters are the defaults; the benchmark suite scales the
-stretch down (the steady-state behaviour is identical, the simulated
-populate phase just finishes sooner — noted in EXPERIMENTS.md).
+paper's parameters are the defaults; EXPERIMENTS.md's runs
+(:mod:`repro.exp.regenerate`) scale the stretch down with
+:func:`small_config` (the steady-state behaviour is identical, the
+simulated populate phase just finishes sooner — noted there).
 """
 
 from dataclasses import dataclass, field, replace
@@ -132,7 +133,7 @@ def run_paging_experiment(mode, config=PagingConfig()):
 
 
 def small_config(**overrides):
-    """A scaled-down configuration for fast benchmark runs.
+    """The scaled-down (benchmark-scale) configuration EXPERIMENTS.md uses.
 
     1 MB stretches and shorter windows: identical steady-state
     behaviour, much shorter populate phase.

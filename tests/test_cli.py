@@ -48,3 +48,29 @@ class TestRegenerateHelpers:
         assert "40% 4.00" in text and "10% 1.00" in text
         # Sorted by descending value.
         assert text.index("40%") < text.index("10%")
+
+
+class TestRegenerateGate:
+    """``build`` is replaced, so no experiment runs."""
+
+    def _main(self, failed, tmp_path, monkeypatch):
+        from repro.exp import regenerate
+
+        output = tmp_path / "EXPERIMENTS.md"
+        monkeypatch.setattr(regenerate, "build",
+                            lambda: ("# record\n", failed))
+        monkeypatch.setattr("sys.argv", ["regenerate", str(output)])
+        code = regenerate.main()
+        assert output.read_text() == "# record\n"
+        return code
+
+    def test_failed_claim_exits_1_and_is_named(self, capsys, tmp_path,
+                                               monkeypatch):
+        name = "Figure 9 FS retention >= 0.93"
+        assert self._main([name], tmp_path, monkeypatch) == 1
+        assert "claim failed: %s" % name in capsys.readouterr().out
+
+    def test_all_claims_holding_exits_0(self, capsys, tmp_path,
+                                        monkeypatch):
+        assert self._main([], tmp_path, monkeypatch) == 0
+        assert "claim failed" not in capsys.readouterr().out

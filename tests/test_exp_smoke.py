@@ -1,9 +1,9 @@
 """Fast smoke tests of the experiment harness.
 
-The benchmarks (``pytest benchmarks/ --benchmark-only``) run the
-experiments at meaningful scale and assert the paper's shapes; these
-tests only verify the harness machinery end-to-end at tiny scale, so
-``pytest tests/`` stays fast.
+``python -m repro.exp.regenerate`` (CI's ``make experiments-drift``)
+runs the experiments at meaningful scale and checks the paper's claims;
+these tests only verify the harness machinery end-to-end at tiny
+scale, so ``pytest tests/`` stays fast.
 """
 
 import pytest
