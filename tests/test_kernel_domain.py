@@ -304,3 +304,78 @@ class TestPendingEventTracking:
                 domain.kill("test")
             assert domain._has_pending_events() == any(
                 channel.pending for channel in domain.channels)
+
+
+#: A burst inside the 1 ms quantum, long enough that the step after it
+#: is easy to tell from the step before.
+BURST = 300 * US
+
+
+def _stepper(system, marks):
+    """An app whose one thread twice computes a burst and marks the step
+    after it. The body is finite, so a burst completed at the wrong
+    moment fails a test instead of spinning forever."""
+    app = system.new_app("stepper", guaranteed_frames=1)
+
+    def body():
+        for _ in range(2):
+            yield Compute(BURST)
+            marks.append(("step", system.now))
+
+    return app.spawn(body())
+
+
+def _first_step_time():
+    """When the stepper's step after its first burst runs, which is the
+    instant that burst ends, measured on a fresh system."""
+    system = NemesisSystem()
+    marks = []
+    thread = _stepper(system, marks)
+    system.sim.run_until_triggered(thread.done, limit=1 * SEC)
+    return marks[0][1]
+
+
+class TestBurstBoundaries:
+    """What happens at the instant a domain's burst ends on the default
+    FIFO CPU, relative to other work due then and to the bound of the
+    running ``run`` or ``run_until_triggered`` call."""
+
+    def test_timer_due_at_a_bursts_end_runs_before_the_next_step(self):
+        end = _first_step_time()
+        system = NemesisSystem()
+        marks = []
+        thread = _stepper(system, marks)
+        system.sim.call_at(end, lambda: marks.append(("timer", system.now)))
+        system.sim.run_until_triggered(thread.done, limit=1 * SEC)
+        assert marks[:2] == [("timer", end), ("step", end)]
+
+    def test_run_until_before_a_bursts_end_does_not_take_the_step(self):
+        end = _first_step_time()
+        system = NemesisSystem()
+        marks = []
+        _stepper(system, marks)
+        system.run(until=end - 1)
+        assert system.now == end - 1
+        assert marks == []
+        system.run(until=end)
+        assert system.now == end
+        assert marks == [("step", end)]
+
+    def test_run_until_triggered_returns_when_a_thread_triggers(self):
+        system = NemesisSystem()
+        app = system.new_app("trigger", guaranteed_frames=1)
+        target = system.sim.event("target")
+        marks = []
+
+        def body():
+            yield Compute(BURST)
+            target.trigger(system.now)
+            yield Compute(BURST)
+            marks.append(system.now)
+
+        thread = app.spawn(body())
+        when = system.sim.run_until_triggered(target, limit=1 * SEC)
+        assert when > 0
+        assert system.now == when
+        assert marks == []
+        assert not thread.done.triggered

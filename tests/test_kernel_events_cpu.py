@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from repro.hw.cpu import CostMeter
 from repro.kernel.cpu import AtroposCpu, FifoCpu, UnlimitedCpu
 from repro.kernel.events import EventChannel
+from repro.kernel.threads import Compute, Wait, Yield
 from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
 from repro.sim.units import MS, SEC, US
+from repro.system import NemesisSystem
 
 ACCOUNTS = 4
 
@@ -28,6 +30,20 @@ _BURSTS = st.lists(
     st.tuples(st.integers(0, ACCOUNTS - 1),
               st.one_of(st.just(0), st.integers(1, 3500 * US))),
     min_size=1, max_size=25)
+
+#: Where the sliced run stops: every slice ends at or before it.
+HORIZON = 6 * MS
+
+#: One domain's threads, each a list of effects: a compute burst on a
+#: coarse grid (some past the 1 ms quantum, so they are split), a sleep
+#: on the same grid, or a yield.
+_THREADS = st.lists(st.lists(st.one_of(
+    st.tuples(st.just("compute"),
+              st.integers(1, 60).map(lambda tick: tick * 25 * US)),
+    st.tuples(st.just("wait"),
+              st.integers(0, 16).map(lambda tick: tick * 25 * US)),
+    st.tuples(st.just("yield"), st.just(0)),
+), min_size=1, max_size=10), min_size=1, max_size=2)
 
 
 class FakeDomain:
@@ -170,6 +186,46 @@ class TestFifoCpu:
             assert account.consumed_ns == sum(mine)
             assert account.bursts == len(mine)
         assert max(completions) == sum(ns for _who, ns in bursts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(domains=st.lists(_THREADS, min_size=1, max_size=3),
+           cuts=st.lists(st.integers(0, HORIZON), max_size=8))
+    def test_one_run_equals_many_runs(self, domains, cuts):
+        """Domains on the default FIFO CPU reach the same state whether
+        one ``run(until=HORIZON)`` drives them or several ``run`` calls
+        that stop at arbitrary instants first: every thread steps at the
+        same times and every account is billed the same."""
+        def simulate(stops):
+            system = NemesisSystem()
+            steps = {}
+            accounts = {}
+
+            def body(key, effects):
+                for kind, ns in effects:
+                    if kind == "compute":
+                        yield Compute(ns)
+                    elif kind == "wait":
+                        yield Wait(system.sim.timeout(ns))
+                    else:
+                        yield Yield()
+                    steps[key].append(system.now)
+
+            for index, threads in enumerate(domains):
+                app = system.new_app("d%d" % index, guaranteed_frames=1)
+                accounts[app.name] = app.domain.cpu
+                for number, effects in enumerate(threads):
+                    key = "d%d-t%d" % (index, number)
+                    steps[key] = []
+                    app.spawn(body(key, effects), name=key)
+            for stop in stops:
+                system.run(until=stop)
+            assert system.now == HORIZON
+            billed = {name: (account.consumed_ns, account.bursts)
+                      for name, account in accounts.items()}
+            return steps, billed
+
+        assert (simulate([HORIZON])
+                == simulate(sorted(cuts) + [HORIZON]))
 
 
 class TestAtroposCpu:
