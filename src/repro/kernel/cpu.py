@@ -22,7 +22,10 @@ steps, the experiments' per-page processing). Three models are provided:
   move charged to the migrating domain itself.
 
 All expose ``register(name, qos=None) -> CpuAccount`` and accounts
-expose ``consume(ns) -> SimEvent``.
+expose ``consume(ns) -> SimEvent``. Domains call
+``consume_or_run_ahead(ns)`` instead, which on a :class:`FifoCpu` may
+complete the burst inline and return None (:class:`FifoAccount`); on
+every other model it is ``consume``.
 """
 
 from collections import deque
@@ -100,6 +103,11 @@ class CpuAccount:
             return cpu._consume(self, ns, label)
         return self._dispatch(ns, label)
 
+    # Domains take their bursts through consume_or_run_ahead. Only a
+    # FIFO CPU's account runs bursts ahead (FifoAccount); on every other
+    # CPU model the name is consume itself, so it costs no extra call.
+    consume_or_run_ahead = consume
+
     def _dispatch(self, ns, label):
         # Quantum splitting + handoff to the CPU model (post-barrier).
         cpu = self.cpu
@@ -128,6 +136,30 @@ class CpuAccount:
         return done
 
 
+class FifoAccount(CpuAccount):
+    """A domain's handle onto a :class:`FifoCpu`, whose bursts can run
+    ahead."""
+
+    def consume_or_run_ahead(self, ns, label=""):
+        """Run a burst ahead inline if the CPU can; else :meth:`consume`.
+
+        A burst within the quantum that the CPU runs ahead
+        (:meth:`FifoCpu._run_ahead`) is billed and completed before this
+        returns: the clock is at its end, and the result is None. The
+        caller must go on at once, as the burst's waiter would have at
+        its end. Otherwise the result is the event :meth:`consume`
+        returns. A FIFO CPU has no migration barrier to wait behind.
+        """
+        cpu = self.cpu
+        quantum = cpu.quantum
+        if (ns > 0 and (quantum is None or ns <= quantum)
+                and cpu._run_ahead(ns)):
+            self.bursts += 1
+            self.consumed_ns += ns
+            return None
+        return self.consume(ns, label)
+
+
 class UnlimitedCpu:
     """No contention: every burst completes after its own duration."""
 
@@ -151,10 +183,17 @@ class FifoCpu:
     instant; each burst then takes :meth:`_elapsed` after its duration
     and :meth:`_complete` at that same instant, which triggers the
     burst's event and starts the next queued burst. A zero-length burst
-    completes as soon as it is started. docs/PERFORMANCE.md ("one FIFO
-    burst") explains why each entry stays. Like
+    completes as soon as it is started. Like
     :class:`~repro.sim.core.Timeout`, the server pushes its entries onto
     the simulator's heap itself.
+
+    A domain's burst that reaches an idle CPU with nothing else due
+    before it ends runs ahead instead (:meth:`_run_ahead`): the clock
+    moves to its end inline and the domain takes its next step in the
+    same callback, so the four entries (start, elapsed, complete and
+    the domain's turn) that would have popped back to back are never
+    pushed. docs/PERFORMANCE.md ("one FIFO burst") explains why each
+    entry stays otherwise and why skipping them moves no result.
     """
 
     def __init__(self, sim, quantum=DEFAULT_QUANTUM):
@@ -164,7 +203,7 @@ class FifoCpu:
         self._busy = False
 
     def register(self, name, qos=None):
-        return CpuAccount(self, name)
+        return FifoAccount(self, name)
 
     def _consume(self, account, ns, label):
         sim = self.sim
@@ -175,6 +214,17 @@ class FifoCpu:
             sim._seq += 1
             heappush(sim._heap, (sim._now, sim._seq, FifoCpu._start, self))
         return done
+
+    def _run_ahead(self, ns):
+        """Complete a burst of ``ns`` inline; True if it did.
+
+        Only on an idle CPU, and only if the simulator moves the clock
+        to the burst's end (:meth:`~repro.sim.core.Simulator._run_ahead`).
+        """
+        if self._busy:
+            return False
+        sim = self.sim
+        return sim._run_ahead(sim._now + ns)
 
     def _start(self):
         # Serve the head; the CPU goes idle once the queue drains.

@@ -19,7 +19,9 @@ The domain runs in *turns*. A turn alternates between handling pending
 events and stepping runnable threads until a step needs CPU (it
 acquires a burst from the CPU scheduler) or there is nothing to do; it
 then registers the next turn as a callback on the burst, or on the
-domain's wake event. No simulator process is involved. All costs flow
+domain's wake event. A burst the CPU runs ahead (the FIFO CPU, when
+nothing else is due before the burst ends) completes inline, and the
+turn goes on at its end. No simulator process is involved. All costs flow
 through the shared :class:`~repro.hw.cpu.CostMeter`: kernel and MMU code
 charge primitives as they execute, and the domain converts the
 accumulated nanoseconds into scheduled compute time after each step —
@@ -169,19 +171,26 @@ class Domain:
         return None
 
     def _charge_meter(self):
-        """Convert accumulated primitive costs into scheduled CPU time."""
+        """Convert accumulated primitive costs into scheduled CPU time.
+
+        Returns the burst to wait on, or None if there was nothing to
+        charge or the burst ran ahead.
+        """
         ns = self.meter.take()
         if ns:
-            return self.cpu.consume(ns)
+            return self.cpu.consume_or_run_ahead(ns)
         return None
 
     def _turn(self, event=None):
         """Run until a step needs CPU or nothing is left to do.
 
         Called once at creation, then as the callback of the burst or
-        wake event the last turn waited for. A kill leaves that callback
-        registered, so a dead domain's turn returns at once; a failed
-        burst raises out of the simulator.
+        wake event the last turn waited for. A step whose burst ran
+        ahead returns None like a step that cost nothing: the clock is
+        already at the burst's end, so the turn goes on there, as the
+        burst's callback would have. A kill leaves the registered
+        callback in place, so a dead domain's turn returns at once; a
+        failed burst raises out of the simulator.
         """
         if self.dead:
             return
@@ -206,7 +215,8 @@ class Domain:
     def _activate(self):
         """One activation: drain events through notification handlers.
 
-        Returns the activation's CPU burst, or None if it cost nothing.
+        Returns the activation's CPU burst, or None if it cost nothing
+        or its burst ran ahead.
         """
         self.activations += 1
         self._c_activations.inc()
@@ -245,7 +255,7 @@ class Domain:
         """Execute one effect of one thread.
 
         Returns the step's CPU burst for :meth:`_turn` to wait on, or
-        None if the step cost nothing.
+        None if the step cost nothing or its burst ran ahead.
         """
         if thread is not self._last_thread:
             self.meter.charge("thread_switch")
@@ -262,7 +272,8 @@ class Domain:
             thread.pending_effect = None
             total = effect.ns + self.meter.take()
             if total:
-                return self.cpu.consume(total, label=effect.label)
+                return self.cpu.consume_or_run_ahead(total,
+                                                     label=effect.label)
             return None
         if kind is Touch:
             return self._step_touch(thread, effect)
