@@ -34,7 +34,7 @@ missions-lint:
 	$(PYTHON) -m repro.exp sweep --lint
 
 # EXPERIMENTS.md must be exactly what the code produces: regenerate it
-# into a scratch file (about 20 s) and fail on any drift. Regeneration
+# into a scratch file (about 11 s) and fail on any drift. Regeneration
 # also checks the paper's claims against the same runs and fails,
 # naming each claim, if one does not hold.
 experiments-drift:
