@@ -238,26 +238,6 @@ class FaultPlan:
         return CLEAN
 
 
-def extent_storm(seed, extent, transient_rate=0.15, bad_blocks=0,
-                 start_ns=0, end_ns=None):
-    """A :class:`FaultPlan` scoped to one extent.
-
-    A transient-error rate over the extent's LBA range plus the first
-    ``bad_blocks`` LBAs marked persistently bad — the storm shape the
-    chaos scenario lands on one pager's swap extent. Attach it to the
-    disk that owns the extent; on a multi-volume store each volume has
-    its own disk, so the plan is volume-scoped by construction.
-    """
-    rules = [FaultRule(kind=TRANSIENT, rate=transient_rate,
-                       lba_start=extent.start, lba_end=extent.end,
-                       start_ns=start_ns, end_ns=end_ns)]
-    if bad_blocks:
-        rules.append(FaultRule(kind=BAD_BLOCK, blocks=tuple(
-            extent.start + index for index in range(bad_blocks)),
-            start_ns=start_ns, end_ns=end_ns))
-    return FaultPlan(seed=seed, rules=tuple(rules))
-
-
 def disk_storm(seed, transient_rate, start_ns=0, end_ns=None):
     """A whole-disk transient storm: the 'this spindle is failing'
     plan the multi-volume health monitor reacts to. Every LBA on the

@@ -135,15 +135,6 @@ class MMEntry:
         """Registered stretch drivers, in registration order."""
         return self.registry.drivers
 
-    def register(self, driver, priority=None):
-        """Track a stretch driver for revocation cycling.
-
-        ``priority`` (optional int) declares where the driver sits in
-        the revocation order: lower asked first. Unprioritised drivers
-        keep the historical registration-order behaviour.
-        """
-        self.registry.register(driver, priority=priority)
-
     def bind(self, stretch, driver, priority=None):
         """Bind a stretch to a driver and index it for fault demux."""
         driver.bind(stretch)

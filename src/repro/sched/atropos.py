@@ -230,22 +230,6 @@ class AtroposClient:
         """Number of queued work items."""
         return len(self.queue)
 
-    @property
-    def runnable(self):
-        """On the runnable queue: has allocation and is not idle-marked.
-
-        Note that a *workless* client with allocation is still runnable —
-        the scheduler selects it, discovers it has nothing to do, and
-        either lax-waits for it (laxity > 0) or marks it idle until its
-        next allocation. That selection-then-mark order is the paper's:
-        "if the client with the earliest deadline has (instantaneously)
-        no further work to be done, the USD scheduler would mark it
-        idle, and ignore it until its next periodic allocation" — the
-        short-block problem that laxity exists to fix.
-        """
-        return not (self.departed or self.remaining <= 0
-                    or self.lax_exhausted)
-
 
 class AtroposScheduler:
     """The scheduling loop. One instance per scheduled resource.
@@ -476,10 +460,18 @@ class AtroposScheduler:
     def _pick(self):
         """EDF among runnable clients; None if there are none.
 
-        This runs at least once per work item, so the
-        :attr:`AtroposClient.runnable` test is inlined. Clients are kept
-        in admission order, so a strict deadline comparison breaks ties
-        by admission index.
+        A client is runnable when it has allocation and is not
+        idle-marked; this runs at least once per work item, so the test
+        is inlined. A *workless* client with allocation is still
+        runnable: the scheduler selects it, discovers it has nothing to
+        do, and either lax-waits for it (laxity > 0) or marks it idle
+        until its next allocation. That selection-then-mark order is the
+        paper's: "if the client with the earliest deadline has
+        (instantaneously) no further work to be done, the USD scheduler
+        would mark it idle, and ignore it until its next periodic
+        allocation" — the short-block problem that laxity exists to
+        fix. Clients are kept in admission order, so a strict deadline
+        comparison breaks ties by admission index.
         """
         best = None
         for client in self.clients:

@@ -24,7 +24,7 @@ paper's testbed.
 
 from repro.hw.cpu import CostMeter, CostModel
 from repro.hw.disk import Disk, QUANTUM_VP3221
-from repro.hw.mmu import MMU, AccessKind
+from repro.hw.mmu import MMU
 from repro.hw.pagetable import GuardedPageTable, LinearPageTable
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.platform import ALPHA_EB164
@@ -213,56 +213,6 @@ class App:
             driver.provide_frames(frames)
         self.drivers.append(driver)
         return driver
-
-    def build_drivers(self, specs):
-        """Build a multi-pager personality mix from declarative specs.
-
-        Each spec is a dict with a ``kind`` (``physical`` / ``nailed``
-        / ``paged`` / ``forgetful`` / ``clock`` / ``stream`` / ``mmap``
-        / ``seg``) plus the factory kwargs for that kind, and two
-        registry knobs: ``priority`` (revocation order, lower pays
-        first) and ``pages`` (when set, a fresh stretch of that many
-        pages is created and bound to the driver). Returns a list of
-        ``(driver, stretch_or_None)`` pairs in spec order — the
-        :class:`~repro.regimes.registry.PagerRegistry` wiring for one
-        domain running several pager personalities at once.
-        """
-        built = []
-        page_size = self.system.machine.page_size
-        for spec in specs:
-            spec = dict(spec)
-            kind = spec.pop("kind")
-            priority = spec.pop("priority", None)
-            pages = spec.pop("pages", None)
-            if kind == "physical":
-                driver = self.physical_driver(**spec)
-            elif kind == "nailed":
-                driver = self.nailed_driver(**spec)
-            elif kind == "seg":
-                driver = self.seg_driver(**spec)
-            elif kind in ("paged", "forgetful", "clock"):
-                if kind == "forgetful":
-                    spec["forgetful"] = True
-                elif kind == "clock":
-                    spec["policy"] = "clock"
-                driver = self.paged_driver(**spec)
-            elif kind == "stream":
-                driver = self.stream_driver(**spec)
-            elif kind == "mmap":
-                file_name = spec.pop("file_name", None)
-                if file_name is not None:
-                    spec["file"] = self.system.filesystem.open(file_name)
-                driver = self.mmap_driver(**spec)
-            else:
-                raise ValueError("unknown driver kind %r" % kind)
-            stretch = None
-            if pages:
-                stretch = self.new_stretch(pages * page_size)
-                self.bind(stretch, driver, priority=priority)
-            elif priority is not None:
-                self.mmentry.register(driver, priority=priority)
-            built.append((driver, stretch))
-        return built
 
     # -- threads -----------------------------------------------------------------
 
@@ -548,21 +498,14 @@ class NemesisSystem:
         return attach_seg(self.translation)
 
     def new_app(self, name, guaranteed_frames, extra_frames=0,
-                cpu_qos=None, drivers=None):
-        """Create a self-paging application domain with its contract.
-
-        ``drivers`` (optional) is a list of declarative driver specs
-        handed to :meth:`App.build_drivers` — the one-call way to give
-        a domain a multi-pager personality mix.
-        """
+                cpu_qos=None):
+        """Create a self-paging application domain with its contract."""
         protdom = ProtectionDomain(self.meter, name="%s-pd" % name)
         domain = self.kernel.create_domain(name, protdom, cpu_qos=cpu_qos)
         client = self.frames_allocator.admit(domain, guaranteed_frames,
                                              extra_frames)
         app = App(self, domain, client)
         self.apps.append(app)
-        if drivers:
-            app.build_drivers(drivers)
         return app
 
     # -- running ---------------------------------------------------------------

@@ -248,11 +248,6 @@ class MultiVolumeSwap:
                        for old in self._draining.values())
         return clients
 
-    def streams(self):
-        """``(volume, usd_client)`` per active slot, for accounting."""
-        return [(slot.volume, slot.shard.channel.usd_client)
-                for slot in self.slots]
-
     def lost_bloks(self):
         """Sorted ``[slot index, local blok]`` pairs for every blok
         recorded lost. ``self.lost`` is a set, so anything feeding a
