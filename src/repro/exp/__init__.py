@@ -8,9 +8,13 @@
 * :mod:`repro.exp.fig9` — file-system isolation.
 * :mod:`repro.exp.ablations` — laxity, roll-over, crosstalk baselines,
   guarded-vs-linear page table.
-* :mod:`repro.exp.report` — ASCII rendering of tables, series and USD
+* :mod:`repro.exp.report` — ASCII rendering of tables and USD
   scheduler traces.
 
-Every module is runnable: ``python -m repro.exp.fig7`` prints the
-regenerated figure data. All experiments are deterministic.
+One runner makes every run: ``python -m repro.exp.regenerate`` writes
+EXPERIMENTS.md and checks the paper's claims against it, and
+``--scale paper`` does the same at the paper's parameters. ``python -m
+repro.exp`` runs the ``report`` and ``sweep`` subcommands, and
+``python -m repro.exp.export`` writes the figures' data as CSV. All
+experiments are deterministic.
 """

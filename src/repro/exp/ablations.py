@@ -19,16 +19,18 @@
   mapped-file driver overlaps page-in IO with computation, and keeps
   the disk stream busy even with zero laxity.
 
-Expected runtime: ~9 s (`python -m repro.exp ablations`).
+The laxity, roll-over and crosstalk ablations each take the run they
+compare against and make only the other leg. ``python -m
+repro.exp.regenerate`` makes those runs once and passes them in; there
+the ablations take about 6.5 s, 2.8 s of it the 10 s read loop that
+laxity and crosstalk_paging share.
 """
 
 from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.baseline.external_pager import ExternalPager, PagerRequest
-from repro.baseline.fcfs_disk import FcfsDiskService
-from repro.exp.common import (MB, PagingConfig, run_paging_experiment,
-                               small_config)
+from repro.exp.common import MB, run_paging_experiment
 from repro.exp import fig9 as fig9_mod
 from repro.hw.disk import Disk, DiskRequest, READ, WRITE
 from repro.hw.mmu import AccessKind
@@ -57,15 +59,12 @@ class LaxityResult:
         return self.with_laxity[name] / without
 
 
-def laxity(with_laxity=None):
+def laxity(with_laxity):
     """Figure 7 workload with l=10 ms vs l=0.
 
-    ``with_laxity`` is the l=10 ms read-loop run, if one was already
-    made; the l=0 leg runs at its config.
+    ``with_laxity`` is an l=10 ms read-loop run; the l=0 leg runs at
+    its config.
     """
-    if with_laxity is None:
-        with_laxity = run_paging_experiment(
-            "read-loop", small_config(measure_sec=10.0))
     without = run_paging_experiment(
         "read-loop", replace(with_laxity.config, laxity_ms=0))
     return LaxityResult(with_laxity=with_laxity.bandwidth_mbit,
@@ -102,17 +101,13 @@ def _usage_fraction(result):
     return out
 
 
-def rollover(with_rollover=None):
+def rollover(with_rollover):
     """Figure 8 workload (long ~12 ms writes against a 25 ms slice) with
     roll-over accounting on vs off.
 
-    ``with_rollover`` is the write-loop run with roll-over, if one was
-    already made, such as Figure 8's; the leg without runs at its
-    config.
+    ``with_rollover`` is a write-loop run with roll-over, such as
+    Figure 8's; the leg without runs at its config.
     """
-    if with_rollover is None:
-        with_rollover = run_paging_experiment(
-            "write-loop", small_config(measure_sec=15.0))
     without = run_paging_experiment(
         "write-loop", replace(with_rollover.config, rollover=False))
     return RolloverResult(usage_with=_usage_fraction(with_rollover),
@@ -133,15 +128,12 @@ class CrosstalkPagingResult:
     fcfs_bandwidth: Dict[str, float]
 
 
-def crosstalk_paging(usd=None):
+def crosstalk_paging(usd):
     """Figure 7 under the USD vs the FCFS (no-QoS) disk.
 
-    ``usd`` is the read-loop run under the USD, if one was already
-    made; the FCFS leg runs at its config.
+    ``usd`` is a read-loop run under the USD; the FCFS leg runs at its
+    config.
     """
-    if usd is None:
-        usd = run_paging_experiment("read-loop",
-                                    small_config(measure_sec=10.0))
     fcfs = run_paging_experiment("read-loop",
                                  replace(usd.config, backing="fcfs"))
     return CrosstalkPagingResult(
@@ -167,16 +159,14 @@ class CrosstalkFsResult:
         return self.fcfs.retention
 
 
-def crosstalk_fs(usd=None):
+def crosstalk_fs(usd):
     """Figure 9 under the USD vs FCFS. Under FCFS the pagers' slow
     mechanical writes interleave with the file-system client's stream
     at the disk's whim; the guarantee-backed retention disappears.
 
-    ``usd`` is the Figure 9 run under the USD, if one was already made;
-    the FCFS leg runs at its config.
+    ``usd`` is a Figure 9 run under the USD; the FCFS leg runs at its
+    config.
     """
-    if usd is None:
-        usd = fig9_mod.run(fig9_mod.Fig9Config())
     fcfs = fig9_mod.run(replace(usd.config, backing="fcfs"))
     return CrosstalkFsResult(usd=usd, fcfs=fcfs)
 
@@ -356,34 +346,3 @@ def stream_paging():
         demand_ns=demand_ns, demand_faults=demand_faults,
         stream_ns=stream_ns, stream_faults=stream_faults,
         demand_nolax_ns=demand_nolax_ns, stream_nolax_ns=stream_nolax_ns)
-
-
-def main():
-    """Run every ablation and print the comparisons."""
-    lax = laxity()
-    print("Laxity ablation (Mbit/s):")
-    for name in lax.with_laxity:
-        print("  %-12s with=%.2f without=%.2f (%.1fx collapse)"
-              % (name, lax.with_laxity[name], lax.without_laxity[name],
-                 lax.collapse_factor(name)))
-    ro = rollover()
-    print("Roll-over ablation (fraction of guarantee consumed):")
-    for name in ro.usage_with:
-        print("  %-12s with=%.3f without=%.3f"
-              % (name, ro.usage_with[name], ro.usage_without[name]))
-    ct = crosstalk_paging()
-    print("Crosstalk (paging): USD ratios %s vs FCFS ratios %s"
-          % ({k: round(v, 2) for k, v in ct.usd_ratios.items()},
-             {k: round(v, 2) for k, v in ct.fcfs_ratios.items()}))
-    fs = crosstalk_fs()
-    print("Crosstalk (fs): retention USD %.2f vs FCFS %.2f"
-          % (fs.usd_retention, fs.fcfs_retention))
-    ep = external_pager()
-    print("External pager: light-client latency solo %.1fms, shared %.1fms "
-          "(%.1fx), self-paging/USD %.1fms; pager CPU %.0fms unaccounted"
-          % (ep.solo_latency_ms, ep.shared_latency_ms, ep.degradation,
-             ep.usd_latency_ms, ep.pager_cpu_ms))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,55 +16,14 @@ This module regenerates both halves of the figure: the sustained
 bandwidth per client (top) and the USD scheduler trace (bottom:
 transactions, lax time, allocations).
 
-Expected runtime: ~12 s at paper scale (`python -m repro.exp fig7`).
+Expected runtime: ~11 s at paper scale, 3 s at benchmark scale;
+``python -m repro.exp.regenerate`` runs it (``--scale paper`` for the
+paper's parameters).
 """
 
 from repro.exp.common import PagingConfig, run_paging_experiment
-from repro.exp import report
-from repro.sim.units import MS, SEC
 
 
 def run(config=PagingConfig()):
     """Run the paging-in experiment; returns a PagingResult."""
     return run_paging_experiment("read-loop", config)
-
-
-def format_result(result, trace_window_sec=1.0):
-    """Render the figure data as text (bandwidths, ratios, trace)."""
-    lines = []
-    rows = []
-    for name in sorted(result.bandwidth_mbit,
-                       key=lambda n: -result.bandwidth_mbit[n]):
-        stats = result.txn_stats.get(name, {})
-        rows.append((name,
-                     "%.2f" % result.bandwidth_mbit[name],
-                     "%.2f" % result.ratios[name],
-                     stats.get("count", "-"),
-                     "%.2f" % stats.get("mean_ms", 0.0),
-                     "%.1f" % stats.get("lax_ms", 0.0)))
-    lines.append(report.table(
-        ["client", "Mbit/s", "ratio", "txns", "mean txn (ms)", "lax (ms)"],
-        rows, title="Figure 7 — paging in (sustained bandwidth)"))
-    lines.append("")
-    lines.append("max single lax interval: %.2f ms (paper: never exceeds "
-                 "the 10 ms laxity)" % result.max_lax_ms)
-    trace = result.system.usd_trace
-    if trace is not None:
-        start = result.window[0]
-        end = min(result.window[1], start + int(trace_window_sec * SEC))
-        lines.append("")
-        lines.append(report.usd_trace_text(trace, start, end))
-        lines.append("")
-        lines.append(report.trace_summary(trace, result.window[0],
-                                          result.window[1]))
-    return "\n".join(lines)
-
-
-def main():
-    """Run Figure 7 at paper scale and print the result table."""
-    result = run()
-    print(format_result(result))
-
-
-if __name__ == "__main__":
-    main()

@@ -15,12 +15,13 @@ client with the smallest slice (which is 25ms) tends to complete three
 transactions (totalling more than 25ms) in some periods, but then will
 obtain less time in the following period [roll-over accounting]."
 
-Expected runtime: ~1 s at paper scale (`python -m repro.exp fig8`).
+Expected runtime: under a second at either scale; ``python -m
+repro.exp.regenerate`` runs it (``--scale paper`` for the paper's
+parameters).
 """
 
 from repro.exp.common import PagingConfig, run_paging_experiment
-from repro.exp import report
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 def run(config=PagingConfig()):
@@ -63,47 +64,3 @@ def rollover_evidence(result, max_periods=200):
         if next_alloc < smallest_ms * MS:
             evidence.append((index, served / MS, next_alloc / MS))
     return evidence
-
-
-def format_result(result, trace_window_sec=1.0):
-    """Render bandwidth table, roll-over evidence, and a trace excerpt."""
-    lines = []
-    rows = []
-    for name in sorted(result.bandwidth_mbit,
-                       key=lambda n: -result.bandwidth_mbit[n]):
-        stats = result.txn_stats.get(name, {})
-        rows.append((name,
-                     "%.2f" % result.bandwidth_mbit[name],
-                     "%.2f" % result.ratios[name],
-                     stats.get("count", "-"),
-                     "%.2f" % stats.get("mean_ms", 0.0)))
-    lines.append(report.table(
-        ["client", "Mbit/s", "ratio", "txns", "mean txn (ms)"],
-        rows, title="Figure 8 — paging out (sustained bandwidth)"))
-    evidence = rollover_evidence(result)
-    lines.append("")
-    lines.append("roll-over evidence for the 10%% client: %d overrun "
-                 "periods followed by a debited allocation" % len(evidence))
-    for index, served, nxt in evidence[:5]:
-        lines.append("  period %d: served %.1f ms > slice; next allocation "
-                     "%.1f ms" % (index, served, nxt))
-    trace = result.system.usd_trace
-    if trace is not None:
-        start = result.window[0]
-        end = min(result.window[1], start + int(trace_window_sec * SEC))
-        lines.append("")
-        lines.append(report.usd_trace_text(trace, start, end))
-        lines.append("")
-        lines.append(report.trace_summary(trace, result.window[0],
-                                          result.window[1]))
-    return "\n".join(lines)
-
-
-def main():
-    """Run Figure 8 at paper scale and print the result table."""
-    result = run()
-    print(format_result(result))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,8 @@ heavily paging applications."
 systems and reports both bandwidths plus their ratio. The crosstalk
 ablation reuses this with the FCFS backing to show the contrast.
 
-Expected runtime: ~2 s at paper scale (`python -m repro.exp fig9`).
+Expected runtime: under a second; ``python -m repro.exp.regenerate``
+runs it.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +23,6 @@ from typing import Dict, Tuple
 
 from repro.apps.fsclient import FileSystemClient
 from repro.apps.pager_app import PagingApplication
-from repro.exp import report
 from repro.sched.atropos import QoSSpec
 from repro.sim.units import MS, SEC
 from repro.system import NemesisSystem
@@ -110,24 +110,3 @@ def run(config=Fig9Config()):
     return Fig9Result(config=config, solo_mbit=solo_mbit,
                       contended_mbit=contended_mbit, pager_mbit=pager_mbit,
                       systems=(solo_system, contended_system))
-
-
-def format_result(result):
-    """Render a :class:`Fig9Result` as the printed comparison table."""
-    rows = [("fsclient alone", "%.2f" % result.solo_mbit, ""),
-            ("fsclient + 2 pagers", "%.2f" % result.contended_mbit,
-             "retention %.1f%%" % (100 * result.retention))]
-    for name, mbit in result.pager_mbit.items():
-        rows.append(("  " + name, "%.2f" % mbit, "(background load)"))
-    return report.table(["run", "Mbit/s", ""], rows,
-                        title="Figure 9 — file-system isolation")
-
-
-def main():
-    """Run Figure 9 at paper scale and print the result table."""
-    result = run()
-    print(format_result(result))
-
-
-if __name__ == "__main__":
-    main()

@@ -33,13 +33,13 @@ cost of one stretch under the segmentation-style regime of
 :mod:`repro.regimes` against the classic paged regime
 (:func:`first_touch`).
 
-Expected runtime: well under a second
-(`python -m repro.exp table1`).
+Expected runtime: well under a second; ``python -m
+repro.exp.regenerate`` runs it.
 """
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.hw.mmu import AccessKind, FaultCode
 from repro.kernel.threads import Compute, Touch
@@ -49,7 +49,6 @@ from repro.mm.sdriver import FaultOutcome
 from repro.sched.atropos import QoSSpec
 from repro.sim.units import MS, SEC, US
 from repro.system import NemesisSystem
-from repro.exp import report
 
 OSF1_REFERENCE = {
     "dirty": None,          # "n/a" in the paper
@@ -418,46 +417,3 @@ def run(iterations=100):
     measured["paged_first_touch"] = costs["paged"]["ns_per_page"] / US
     measured["seg_over_paged"] = costs["seg_over_paged"]
     return Table1Result(measured=measured, iterations=iterations)
-
-
-def format_table(result):
-    """Render Table 1 with the paper's columns for comparison."""
-    m = result.measured
-
-    def cell(v):
-        return "%.2f" % v if v is not None else "n/a"
-
-    rows = [
-        ("dirty", cell(m["dirty"]), cell(PAPER_NEMESIS["dirty"]), "n/a"),
-        ("(un)prot1", "%s [%s]" % (cell(m["prot1"]), cell(m["prot1_pd"])),
-         "0.42 [0.40]", cell(OSF1_REFERENCE["prot1"])),
-        ("(un)prot100", "%s [%s]" % (cell(m["prot100"]),
-                                     cell(m["prot100_pd"])),
-         "10.78 [0.30]", cell(OSF1_REFERENCE["prot100"])),
-        ("trap", cell(m["trap"]), cell(PAPER_NEMESIS["trap"]),
-         cell(OSF1_REFERENCE["trap"])),
-        ("appel1", cell(m["appel1"]), cell(PAPER_NEMESIS["appel1"]),
-         cell(OSF1_REFERENCE["appel1"])),
-        ("appel2", cell(m["appel2"]), cell(PAPER_NEMESIS["appel2"]),
-         cell(OSF1_REFERENCE["appel2"])),
-    ]
-    out = [report.table(
-        ["benchmark", "measured (us)", "paper Nemesis (us)", "paper OSF1 (us)"],
-        rows, title="Table 1 — comparative micro-benchmarks")]
-    out.append("")
-    out.append("idempotent (un)prot: %.2f us (paper: ~0.15 us)"
-               % m["prot_idempotent"])
-    out.append("guarded vs linear page table, dirty: %.1fx slower "
-               "(paper: ~3x)" % m["dirty_guarded_factor"])
-    out.append(SEG_VS_PAGED % (m["seg_first_touch"], m["paged_first_touch"],
-                               m["seg_over_paged"]))
-    return "\n".join(out)
-
-
-def main():
-    """Run every Table-1 microbenchmark and print the table."""
-    print(format_table(run()))
-
-
-if __name__ == "__main__":
-    main()

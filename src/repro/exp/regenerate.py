@@ -1,22 +1,37 @@
 """Regenerate EXPERIMENTS.md from live runs and check the paper's claims.
 
-Usage: ``python -m repro.exp.regenerate [output-path]``
+Usage: ``python -m repro.exp.regenerate [--scale paper] [output-path]``
 
-Runs every experiment (benchmark-scale configurations) and writes the
-paper-vs-measured record. This keeps the documented numbers honest:
-they are whatever the code in the working tree actually produces.
-Each qualitative claim of the paper (Table 1's shape, Figures 7-9, the
-ablations and stream paging) is checked against those same runs and
-listed in the record's "Claims checked" table; the command exits 1
-and names every claim that does not hold.
+Runs every experiment once and writes the paper-vs-measured record.
+This keeps the documented numbers honest: they are whatever the code
+in the working tree actually produces. Each qualitative claim of the
+paper (Table 1's shape, Figures 7-9, the ablations and stream paging)
+is checked against those same runs and listed in the record's "Claims
+checked" table; the command exits 1 and names every claim that does
+not hold.
 
-Expected runtime: about 11 s (it runs every experiment once).
+Figures 7 and 8 run at benchmark scale by default (1 MB stretches,
+15 s windows): that is EXPERIMENTS.md. ``--scale paper`` runs them at
+the paper's 4 MB stretches and 30 s windows (:class:`PagingConfig`'s
+defaults) and writes ``results/EXPERIMENTS-paper.md``; it never
+writes EXPERIMENTS.md. Table 1, Figure 9 and the ablations have one
+configuration, except that roll-over's with-leg is the Figure 8 run.
+
+Expected runtime: about 12 s at benchmark scale, 20 s at paper scale.
+For a profile, run it under ``python -m cProfile -o out.pstats -m
+repro.exp.regenerate``.
 """
 
+import argparse
+import os
 import sys
 
-from repro.exp import ablations, fig7, fig8, fig9, microbench
-from repro.exp.common import run_paging_experiment, small_config
+from repro.exp import ablations, fig7, fig8, fig9, microbench, report
+from repro.exp.common import (MB, PagingConfig, run_paging_experiment,
+                              small_config)
+
+#: Where ``--scale paper`` writes its record unless given a path.
+PAPER_OUTPUT = os.path.join("results", "EXPERIMENTS-paper.md")
 
 
 def _fmt_ratio_map(ratios):
@@ -25,11 +40,13 @@ def _fmt_ratio_map(ratios):
                                                key=lambda kv: -kv[1]))
 
 
-def build(iterations=100):
-    """Run benchmark-scale experiments and build the EXPERIMENTS.md text.
+def build(iterations=100, paging=small_config()):
+    """Run every experiment and build the EXPERIMENTS.md text.
 
-    Returns ``(text, failed)``: ``failed`` names each claim that does
-    not hold.
+    ``paging`` is the configuration Figures 7 and 8 (and roll-over's
+    with-leg, which is Figure 8's run) use: benchmark scale by
+    default, ``PagingConfig()`` for the paper's. Returns ``(text,
+    failed)``: ``failed`` names each claim that does not hold.
     """
     lines = []
     w = lines.append
@@ -41,12 +58,13 @@ def build(iterations=100):
     w("# EXPERIMENTS — paper vs. measured")
     w("")
     w("Regenerated by `python -m repro.exp.regenerate` from live runs of")
-    w("the harness (benchmark-scale configurations; the CLI modules run")
-    w("paper-scale). All runs are deterministic. The complete CLI —")
-    w("including the `sweep` (every scenario mission), `report --metrics`")
-    w("and `--profile` surfaces not shown in these tables — is documented")
-    w('in README.md ("Running experiments"); the performance plane that')
-    w("keeps these runs affordable is docs/PERFORMANCE.md.")
+    w("the harness; Figures 7 and 8 ran with %d MB stretches and %g s"
+      % (paging.stretch_bytes // MB, paging.measure_sec))
+    w("windows. All runs are deterministic. The complete CLI — including")
+    w("the `sweep` (every scenario mission) and `report --metrics`")
+    w("surfaces not shown in these tables — is documented in README.md")
+    w('("Running experiments"); the performance plane that keeps these')
+    w("runs affordable is docs/PERFORMANCE.md.")
     w("")
 
     # ----- Table 1 ------------------------------------------------------
@@ -123,8 +141,7 @@ def build(iterations=100):
     w("zero pass, dirty pass, then a sequential read loop (benchmark scale")
     w("uses 1 MB stretches; steady state is identical).")
     w("")
-    config7 = small_config(measure_sec=15.0)
-    result7 = fig7.run(config7)
+    result7 = fig7.run(paging)
     w("| quantity | paper | measured |")
     w("|---|---|---|")
     w("| progress ratio | \"very close to 4:2:1\" | %s |"
@@ -144,11 +161,11 @@ def build(iterations=100):
     w("")
     w("```")
     start = result7.window[0]
-    w(__import__("repro.exp.report", fromlist=["report"]).usd_trace_text(
-        result7.system.usd_trace, start, start + 1_000_000_000))
+    w(report.usd_trace_text(result7.system.usd_trace, start,
+                            start + 1_000_000_000))
     w("```")
     w("")
-    top, mid, low = (config7.app_name(s) for s in config7.slices_ms)
+    top, mid, low = (paging.app_name(s) for s in paging.slices_ms)
     ratios7 = result7.ratios
     claim("Figure 7 40% client ratio in [3.5, 4.5]",
           "%.2f" % ratios7[top], 3.5 <= ratios7[top] <= 4.5)
@@ -160,13 +177,13 @@ def build(iterations=100):
           "max %.2f ms" % max(means), max(means) < 4.0)
     claim("Figure 7 longest lax interval <= 10 ms",
           "%.2f ms" % result7.max_lax_ms,
-          result7.max_lax_ms <= config7.laxity_ms + 1e-9)
+          result7.max_lax_ms <= paging.laxity_ms + 1e-9)
     seconds7 = (result7.window[1] - result7.window[0]) / 1e9
     received = []
-    for slice_ms in config7.slices_ms:
-        stats = result7.txn_stats[config7.app_name(slice_ms)]
+    for slice_ms in paging.slices_ms:
+        stats = result7.txn_stats[paging.app_name(slice_ms)]
         used = (stats["service_ms"] + stats["lax_ms"]) / 1000
-        received.append(used / (slice_ms / config7.period_ms * seconds7))
+        received.append(used / (slice_ms / paging.period_ms * seconds7))
     claim("Figure 7 every client's service + lax >= 0.9 of its guarantee",
           "min %.3f" % min(received), min(received) >= 0.9)
 
@@ -176,8 +193,7 @@ def build(iterations=100):
     w("Same setup with the 'forgetful' stretch driver: every fault")
     w("demand-zeroes, every eviction writes (pure page-out load).")
     w("")
-    config8 = small_config(measure_sec=15.0)
-    result8 = fig8.run(config8)
+    result8 = fig8.run(paging)
     w("| quantity | paper | measured |")
     w("|---|---|---|")
     w("| progress ratio | \"roughly in proportion\" | %s |"
@@ -365,10 +381,11 @@ def build(iterations=100):
     w("  on Nemesis\"), the benchmark adapts Appel-Li semantics: pages are")
     w("  unmapped/mapped rather than protected, and mapping runs on the")
     w("  MMEntry worker path.")
-    w("* **Benchmark scale**: these runs use 1 MB stretches")
-    w("  (vs 4 MB in the paper) to shorten the populate phase; steady-")
-    w("  state behaviour is identical and the CLI modules run paper")
-    w("  scale.")
+    w("* **Benchmark scale**: EXPERIMENTS.md runs Figures 7 and 8 with")
+    w("  1 MB stretches and 15 s windows (vs 4 MB and 30 s in the paper)")
+    w("  to shorten the populate phase; steady-state behaviour is")
+    w("  identical. `python -m repro.exp.regenerate --scale paper` runs")
+    w("  them at the paper's parameters and checks the same claims.")
     w("* **OSF1 column**: the paper's published numbers (OSF1 V4.0 is not")
     w("  reproducible); clearly labelled wherever shown.")
     w("")
@@ -376,13 +393,27 @@ def build(iterations=100):
     return "\n".join(lines) + "\n", failed
 
 
-def main():
-    """Regenerate EXPERIMENTS.md (or the path given as argv[1]).
+def main(argv=None):
+    """Regenerate EXPERIMENTS.md, or the paper-scale record.
 
     Returns 1 if any of the paper's claims does not hold, else 0.
     """
-    output = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    text, failed = build()
+    parser = argparse.ArgumentParser(prog="python -m repro.exp.regenerate")
+    parser.add_argument("--scale", choices=("benchmark", "paper"),
+                        default="benchmark",
+                        help="paper: Figures 7 and 8 at 4 MB stretches and "
+                             "30 s windows, into %s" % PAPER_OUTPUT)
+    parser.add_argument("output", nargs="?")
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if args.scale == "benchmark":
+        output = args.output or "EXPERIMENTS.md"
+        text, failed = build()
+    else:
+        output = args.output or PAPER_OUTPUT
+        if os.path.abspath(output) == os.path.abspath("EXPERIMENTS.md"):
+            parser.error("EXPERIMENTS.md is the benchmark-scale record")
+        os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
+        text, failed = build(paging=PagingConfig())
     with open(output, "w") as handle:
         handle.write(text)
     print("wrote %s (%d lines)" % (output, text.count("\n")))

@@ -7,7 +7,7 @@ client, filled boxes for transactions, lines for lax time, arrows for
 new allocations.
 """
 
-from repro.sim.units import MS, SEC, fmt_time
+from repro.sim.units import fmt_time
 
 
 def table(headers, rows, title=None):
@@ -30,14 +30,6 @@ def table(headers, rows, title=None):
     lines.append(fmt_row(cells[0]))
     lines.append(sep)
     lines.extend(fmt_row(row) for row in cells[1:])
-    return "\n".join(lines)
-
-
-def series(points, label="t", value="v", fmt="%.2f"):
-    """Render a (time, value) series, times in seconds."""
-    lines = ["%8s  %s" % (label, value)]
-    for when, val in points:
-        lines.append("%7.1fs  %s" % (when / SEC, fmt % val))
     return "\n".join(lines)
 
 
@@ -79,25 +71,3 @@ def usd_trace_text(trace, start, end, bucket=None):
         lines.append("%12s |%s|" % (client, "".join(row)))
     lines.append("%12s  (# txn, - lax, ^ alloc, + slack)" % "")
     return "\n".join(lines)
-
-
-def trace_summary(trace, start, end):
-    """Per-client totals over a window: transactions, service, lax."""
-    rows = []
-    for client in trace.clients():
-        ntx = trace.count(kind="txn", client=client, start=start, end=end)
-        service = trace.total_duration(kind="txn", client=client,
-                                       start=start, end=end)
-        lax = trace.total_duration(kind="lax", client=client,
-                                   start=start, end=end)
-        allocs = trace.count(kind="alloc", client=client, start=start,
-                             end=end)
-        if ntx == 0 and allocs == 0:
-            continue
-        mean = service / ntx / MS if ntx else 0.0
-        rows.append((client, ntx, "%.2f" % (service / MS),
-                     "%.2f" % mean, "%.2f" % (lax / MS), allocs))
-    return table(
-        ["client", "txns", "service(ms)", "mean(ms)", "lax(ms)", "allocs"],
-        rows, title="USD accounting %s .. %s" % (fmt_time(start),
-                                                 fmt_time(end)))

@@ -7,19 +7,15 @@ class TestExpMain:
     def test_unknown_target_rejected(self, capsys):
         from repro.exp.__main__ import main
 
-        # perfbench/ is the one benchmark: there is no ``bench`` target.
-        for target in ("frobnicate", "bench"):
-            assert main([target]) == 1
+        # perfbench/ is the one benchmark: there is no ``bench`` target,
+        # and regenerate is the one runner of the paper's experiments.
+        for argv in ([], ["frobnicate"], ["bench"], ["fig7"], ["table1"],
+                     ["all"], ["--profile"], ["fig7", "--profile"]):
+            assert main(argv) == 1
             out = capsys.readouterr().out
-            assert "unknown experiment" in out
-            assert "(also: report, sweep)" in out
-
-    def test_table1_runs(self, capsys):
-        from repro.exp.__main__ import main
-
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out and "dirty" in out
+            assert "python -m repro.exp.regenerate [--scale paper]" in out
+            assert "python -m repro.exp report" in out
+            assert "python -m repro.exp sweep" in out
 
 
 class TestExportMain:
@@ -58,7 +54,7 @@ class TestRegenerateGate:
 
         output = tmp_path / "EXPERIMENTS.md"
         monkeypatch.setattr(regenerate, "build",
-                            lambda: ("# record\n", failed))
+                            lambda **kwargs: ("# record\n", failed))
         monkeypatch.setattr("sys.argv", ["regenerate", str(output)])
         code = regenerate.main()
         assert output.read_text() == "# record\n"
@@ -74,3 +70,28 @@ class TestRegenerateGate:
                                         monkeypatch):
         assert self._main([], tmp_path, monkeypatch) == 0
         assert "claim failed" not in capsys.readouterr().out
+
+    def test_paper_scale_runs_figures_7_and_8_at_the_papers_config(
+            self, tmp_path, monkeypatch):
+        from repro.exp import regenerate
+        from repro.exp.common import PagingConfig
+
+        calls = []
+
+        def build(**kwargs):
+            calls.append(kwargs)
+            return "# paper record\n", []
+
+        monkeypatch.setattr(regenerate, "build", build)
+        monkeypatch.chdir(tmp_path)
+        assert regenerate.main(["--scale", "paper"]) == 0
+        assert calls == [{"paging": PagingConfig()}]
+        written = tmp_path / "results" / "EXPERIMENTS-paper.md"
+        assert written.read_text() == "# paper record\n"
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+        # Not even when asked to: that file is the benchmark-scale record.
+        with pytest.raises(SystemExit) as exit_info:
+            regenerate.main(["--scale", "paper", "EXPERIMENTS.md"])
+        assert exit_info.value.code == 2
+        assert len(calls) == 1
+        assert not (tmp_path / "EXPERIMENTS.md").exists()

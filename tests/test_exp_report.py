@@ -5,7 +5,7 @@ import pytest
 from repro.exp import report
 from repro.exp.common import PagingConfig, small_config
 from repro.sim.trace import Trace
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 
 
 class TestTable:
@@ -21,12 +21,6 @@ class TestTable:
         text = report.table(["x"], [(1,)], title="My Table")
         assert text.splitlines()[0] == "My Table"
         assert text.splitlines()[1] == "========"
-
-
-class TestSeries:
-    def test_rendering(self):
-        text = report.series([(5 * SEC, 1.234), (10 * SEC, 5.678)])
-        assert "5.0s" in text and "1.23" in text
 
 
 class TestUsdTraceText:
@@ -51,11 +45,6 @@ class TestUsdTraceText:
         text = report.usd_trace_text(trace, 140 * MS, 260 * MS,
                                      bucket=10 * MS)
         assert "#" in text  # partially-overlapping events still shown
-
-    def test_summary(self, trace):
-        text = report.trace_summary(trace, 0, 300 * MS)
-        assert "a" in text and "b" in text
-        assert "100.00" in text  # service ms
 
 
 class TestPagingConfig:

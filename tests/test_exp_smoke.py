@@ -6,8 +6,6 @@ these tests only verify the harness machinery end-to-end at tiny
 scale, so ``pytest tests/`` stays fast.
 """
 
-import pytest
-
 from repro.exp import fig7, fig8, fig9, microbench
 from repro.exp.common import small_config
 
@@ -38,14 +36,10 @@ class TestFigureHarnesses:
         assert set(result.bandwidth_mbit) == {"pager-40%", "pager-20%",
                                               "pager-10%"}
         assert all(mbit > 0 for mbit in result.bandwidth_mbit.values())
-        text = fig7.format_result(result, trace_window_sec=0.5)
-        assert "Figure 7" in text and "pager-40%" in text
 
     def test_fig8_tiny(self):
         result = fig8.run(TINY)
         assert all(mbit > 0 for mbit in result.bandwidth_mbit.values())
-        text = fig8.format_result(result, trace_window_sec=0.5)
-        assert "Figure 8" in text
 
     def test_fig9_tiny(self):
         config = fig9.Fig9Config(stretch_bytes=32 * 8192,
@@ -54,8 +48,6 @@ class TestFigureHarnesses:
         result = fig9.run(config)
         assert result.solo_mbit > 0
         assert result.contended_mbit > 0
-        text = fig9.format_result(result)
-        assert "Figure 9" in text and "retention" in text
 
     def test_results_are_deterministic(self):
         first = fig7.run(TINY)
