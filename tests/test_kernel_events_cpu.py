@@ -334,3 +334,22 @@ class TestQuantumSplitting:
         sim.run(until=1 * SEC)
         # b's 1 ms fits inside its own first-period slice.
         assert finish["b"] <= 12 * MS
+
+    def test_departure_between_chunks_fails_the_burst(self, sim):
+        """An Atropos account departed part-way through a split burst:
+        the burst's event fails instead of wedging, and the CPU goes on
+        serving a bystander."""
+        cpu = AtroposCpu(sim)
+        contract = QoSSpec(period_ns=10 * MS, slice_ns=4 * MS)
+        a = cpu.register("a", qos=contract)
+        b = cpu.register("b", qos=contract)
+        burst = a.consume(5 * MS)
+        sim.run(until=1500 * US)
+        cpu.depart_account(a)
+        sim.run(until=20 * MS)
+        assert burst.triggered and not burst.ok
+        with pytest.raises(RuntimeError, match="client a has departed"):
+            burst.value
+        after = b.consume(1 * MS)
+        sim.run_until_triggered(after, limit=1 * SEC)
+        assert after.ok and b.consumed_ns == 1 * MS
