@@ -917,7 +917,6 @@ class MissionRunner:
             payload["cpu_shares"] = {
                 "cpu%d" % index: round(sched.admitted_share(), 4)
                 for index, sched in enumerate(system.cpu.scheds)}
-            payload["migrations"] = system.cpu.migrations
         return payload
 
     # -- invariants -----------------------------------------------------------
