@@ -1,36 +1,27 @@
-"""Domain-to-core placement and migration for the SMP platform.
+"""Domain-to-core placement for the SMP platform.
 
 The paper ran Nemesis on single-processor Alphas; this package is the
 part of the multi-core plane that goes *beyond* the paper: once
 :class:`repro.kernel.cpu.SmpAtroposCpu` gives every simulated CPU its
 own Atropos run queue, somebody has to decide **which** core a domain's
-CPU contract lands on, and when (if ever) it should move.
+CPU contract lands on. A contract stays on that core until its domain
+departs.
 
-Two cooperating pieces:
-
-* :mod:`repro.place.policy` — deterministic, seed-stable initial
-  placement: first-fit-decreasing by admitted CPU share with a
-  BLAKE2b-keyed tie-break, plus a batch planner for offline what-if
-  analysis and an explicit :class:`PlacementError` refusal that admission
-  control surfaces *before* any scheduler state is touched.
-* :mod:`repro.place.balance` — the observation-driven migrate path: a
-  :class:`CoreBalancer` samples per-core charged time each period and
-  asks the SMP CPU to move the lightest movable contract from the
-  hottest core to the coolest one (quiescing in-flight work and charging
-  the move to the migrating domain — see ``SmpAtroposCpu.migrate``).
+:mod:`repro.place.policy` holds the decision: deterministic, seed-stable
+placement at admission, first-fit-decreasing by admitted CPU share with
+a BLAKE2b-keyed tie-break, and an explicit :class:`PlacementError`
+refusal that admission control surfaces *before* any scheduler state is
+touched.
 
 Everything here is pure policy: no simulator state lives in this
 package, which is what keeps placement decisions reproducible from the
 mission seed alone.
 """
 
-from repro.place.balance import CoreBalancer
-from repro.place.policy import PlacementError, PlacementPolicy, placement_draw, plan_placement
+from repro.place.policy import PlacementError, PlacementPolicy, placement_draw
 
 __all__ = [
-    "CoreBalancer",
     "PlacementError",
     "PlacementPolicy",
     "placement_draw",
-    "plan_placement",
 ]

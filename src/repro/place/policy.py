@@ -116,24 +116,3 @@ class PlacementPolicy:
             return tied[0]
         return tied[placement_draw(self.seed, name, len(tied))]
 
-
-def plan_placement(contracts, cpus, policy="ffd", seed=1999):
-    """Batch-place ``contracts`` (``(name, share)`` pairs) onto cores.
-
-    Classic first-fit-decreasing: sort by share descending (name
-    ascending on equal shares), then place each with
-    :class:`PlacementPolicy`. Returns ``{name: core_index}``. This is
-    the offline what-if companion to the online path the SMP CPU takes
-    at admission time; docs/SCHEDULING.md walks a worked example.
-    Raises :class:`PlacementError` if any contract cannot be placed.
-    """
-    chooser = PlacementPolicy(cpus, policy=policy, seed=seed)
-    loads = [0.0] * cpus
-    plan = {}
-    for name, share in sorted(contracts, key=lambda pair: (-pair[1], pair[0])):
-        if name in plan:
-            raise ValueError("duplicate contract name %r" % name)
-        core = chooser.choose(name, share, loads)
-        plan[name] = core
-        loads[core] += share
-    return plan

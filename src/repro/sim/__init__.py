@@ -13,8 +13,6 @@ The design is a small, from-scratch process-based simulator:
   :class:`SimEvent` suspends the process until the event triggers. A
   process is itself an event (it triggers when the generator returns), so
   processes can join one another.
-* :class:`~repro.sim.channel.Channel` is a bounded FIFO used for
-  rbufs-style IO channels.
 * :class:`~repro.sim.trace.Trace` records timestamped, typed trace events
   (the USD scheduler traces of Figures 7 and 8 are rendered from these).
 
@@ -32,15 +30,12 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.units import MS, NS, SEC, US, fmt_time, from_ms, from_sec, from_us, to_ms, to_sec, to_us
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
-    "ChannelClosed",
     "Interrupt",
     "MS",
     "NS",

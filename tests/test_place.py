@@ -1,11 +1,9 @@
 """Tests for the placement layer: the seed-stable draw, the online
-policies (first-fit-decreasing and spread), refusal semantics, and the
-offline batch planner."""
+policies (first-fit-decreasing and spread) and refusal semantics."""
 
 import pytest
 
-from repro.place import (PlacementError, PlacementPolicy, placement_draw,
-                         plan_placement)
+from repro.place import PlacementError, PlacementPolicy, placement_draw
 
 
 class TestPlacementDraw:
@@ -67,26 +65,3 @@ class TestPlacementPolicy:
         with pytest.raises(ValueError):
             PlacementPolicy(2, policy="random")
 
-
-class TestPlanPlacement:
-    def test_classic_ffd(self):
-        plan = plan_placement([("a", 0.6), ("b", 0.5), ("c", 0.3)], 2,
-                              seed=7)
-        assert set(plan) == {"a", "b", "c"}
-        # a and b cannot share a core; c joins a (0.9) not b (0.8 would
-        # be less loaded -- ffd packs the most-loaded fitting core).
-        assert plan["a"] != plan["b"]
-        assert plan["c"] == plan["a"]
-
-    def test_deterministic_across_calls(self):
-        contracts = [("d%d" % index, 0.25) for index in range(8)]
-        assert (plan_placement(contracts, 3, seed=42)
-                == plan_placement(contracts, 3, seed=42))
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            plan_placement([("a", 0.3), ("a", 0.2)], 2)
-
-    def test_unplaceable_contract_raises(self):
-        with pytest.raises(PlacementError):
-            plan_placement([("a", 0.6), ("b", 0.6), ("c", 0.6)], 2)

@@ -1,14 +1,11 @@
 """Tests for the SMP CPU: placement-backed admission, side-effect-free
-refusal, the quiescing migration path (with its charge billed to the
-migrating domain), departure during migration, per-core metrics, and
-the observation-driven core balancer."""
+refusal, departure, and per-core metrics."""
 
 import pytest
 
-from repro.kernel.cpu import DEFAULT_MIGRATION_COST, SmpAtroposCpu
+from repro.kernel.cpu import SmpAtroposCpu
 from repro.obs.metrics import MetricsRegistry
 from repro.place import PlacementError
-from repro.place.balance import CoreBalancer
 from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
 from repro.sim.units import MS, SEC
@@ -67,74 +64,6 @@ class TestAdmission:
         cpu.register("b", qos(30))
 
 
-class TestMigration:
-    def test_move_updates_map_and_charges_the_domain(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        cpu.register("anchor", qos(60))
-        account = cpu.register("mover", qos(20))
-        source = cpu.core_of("mover")
-        target = 1 - source
-        burst = account.consume(2 * MS, label="work")
-        sim.run_until_triggered(burst, limit=1 * SEC)
-        charged = account.consumed_ns
-        moved = sim.run_until_triggered(cpu.migrate("mover", target),
-                                        limit=1 * SEC)
-        assert moved is True
-        assert cpu.core_of("mover") == target
-        assert cpu.migrations == 1
-        # The move itself is billed to the migrating domain.
-        assert account.consumed_ns == charged + DEFAULT_MIGRATION_COST
-
-    def test_bursts_stall_behind_the_barrier_and_finish_after(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        account = cpu.register("mover", qos(50))
-        target = 1 - cpu.core_of("mover")
-        in_flight = account.consume(3 * MS, label="pre")
-        done = cpu.migrate("mover", target)
-        late = account.consume(1 * MS, label="post")
-        assert sim.run_until_triggered(done, limit=1 * SEC) is True
-        sim.run_until_triggered(late, limit=1 * SEC)
-        assert in_flight.triggered and late.ok
-        assert cpu.core_of("mover") == target
-
-    def test_same_core_migration_is_a_no_op(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        cpu.register("a", qos(20))
-        done = cpu.migrate("a", cpu.core_of("a"))
-        assert done.triggered and done.value is False
-        assert cpu.migrations == 0
-
-    def test_full_target_refused_synchronously(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        cpu.register("big", qos(90))
-        cpu.register("mover", qos(20))
-        assert cpu.core_of("big") != cpu.core_of("mover")
-        with pytest.raises(PlacementError):
-            cpu.migrate("mover", cpu.core_of("big"))
-
-    def test_depart_during_migration_stays_live(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        account = cpu.register("mover", qos(50))
-        target = 1 - cpu.core_of("mover")
-        account.consume(5 * MS, label="pre")       # drain must wait this out
-        done = cpu.migrate("mover", target)
-        sim.run(until=1)                           # let the barrier go up
-        stalled = account.consume(1 * MS, label="post")
-        assert account._barrier is not None        # stalled behind it
-
-        def killer():
-            yield sim.timeout(1 * MS)
-            cpu.depart_account(account)
-
-        sim.spawn(killer(), name="killer")
-        moved = sim.run_until_triggered(done, limit=1 * SEC)
-        assert moved is False                       # aborted, not wedged
-        assert "mover" not in cpu.core_map
-        assert cpu.migrations == 0
-        sim.run(until=20 * MS)
-        assert stalled.triggered and not stalled.ok  # failed, not stuck
-
-
 class TestMetrics:
     def test_per_core_sched_metrics_and_placement_gauges(self, sim):
         registry = MetricsRegistry()
@@ -148,31 +77,3 @@ class TestMetrics:
         assert "sched_served_ns_total" in text
         assert "place_domains" in text
 
-
-class TestCoreBalancer:
-    def test_moves_load_off_the_hot_core(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        heavy = cpu.register("heavy", qos(40))
-        light = cpu.register("light", qos(30))
-        # First-fit-decreasing packs both on one core.
-        assert cpu.core_of("heavy") == cpu.core_of("light")
-
-        def churn(account):
-            while True:
-                yield account.consume(1 * MS, label="churn")
-
-        sim.spawn(churn(heavy), name="churn-heavy")
-        sim.spawn(churn(light), name="churn-light")
-        balancer = CoreBalancer(sim, cpu, period_ns=50 * MS, threshold=0.25)
-        sim.run(until=1 * SEC)
-        balancer.stop()
-        assert cpu.migrations >= 1
-        assert cpu.core_of("heavy") != cpu.core_of("light")
-        assert any(completed for (_, _, _, _, completed) in balancer.moves)
-
-    def test_constructor_validation(self, sim):
-        cpu = SmpAtroposCpu(sim, cpus=2)
-        with pytest.raises(ValueError):
-            CoreBalancer(sim, cpu, period_ns=0)
-        with pytest.raises(ValueError):
-            CoreBalancer(sim, cpu, threshold=0.0)
