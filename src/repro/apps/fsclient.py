@@ -55,6 +55,3 @@ class FileSystemClient:
     def _on_complete(self, event):
         if event.ok:
             self.bytes_read += self.system.machine.page_size
-
-    def mbit_per_sec(self, start, end):
-        return self.watch.mbit_per_sec(start, end)

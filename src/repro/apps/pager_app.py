@@ -180,12 +180,3 @@ class PagingApplication:
             while True:
                 yield from self._pass(AccessKind.WRITE, count_progress=True)
                 self.loops_completed += 1
-
-    # -- results ------------------------------------------------------------
-
-    def mbit_per_sec(self, start, end):
-        return self.watch.mbit_per_sec(start, end)
-
-    @property
-    def faults(self):
-        return self.main_thread.faults

@@ -36,11 +36,6 @@ class FcfsClient:
         self.blocks_moved += request.nblocks
         return self.service._submit(request)
 
-    @property
-    def pending(self):
-        return sum(1 for req, _done in self.service._queue
-                   if req.client == self.name)
-
 
 class FcfsDiskService:
     """One global FIFO in front of the disk."""

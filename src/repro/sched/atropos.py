@@ -225,11 +225,6 @@ class AtroposClient:
         self._c_retries.inc()
         self._c_retry_ns.inc(ns)
 
-    @property
-    def pending(self):
-        """Number of queued work items."""
-        return len(self.queue)
-
 
 class AtroposScheduler:
     """The scheduling loop. One instance per scheduled resource.

@@ -58,12 +58,13 @@ class _Slot:
 class FanoutChannel:
     """Aggregate flow-control view over every active shard channel.
 
-    Presents the same attributes an :class:`~repro.usd.iochannel.IOChannel`
-    presents to the stretch drivers (``depth``, ``outstanding``,
-    ``can_submit``, ``slot()``, ``usd_client``), computed across shards.
-    Per-blok gating — the precise question "may I submit *this* blok" —
-    lives on the swap itself (:meth:`MultiVolumeSwap.slot_for` /
-    :meth:`MultiVolumeSwap.can_accept`).
+    Presents the two :class:`~repro.usd.iochannel.IOChannel` attributes
+    the stream driver sizes its read-ahead by (``depth`` and
+    ``outstanding``), summed across shards. Per-blok gating — the
+    precise question "may I submit *this* blok" — lives on the swap
+    itself (:meth:`MultiVolumeSwap.slot_for` /
+    :meth:`MultiVolumeSwap.can_accept`), and the teardown inventory is
+    :meth:`MultiVolumeSwap.attachments`.
     """
 
     def __init__(self, swap):
@@ -81,40 +82,6 @@ class FanoutChannel:
     def outstanding(self):
         """Transactions currently in flight across shards."""
         return sum(ch.outstanding for ch in self._channels())
-
-    @property
-    def can_submit(self):
-        """True when at least one shard channel has a free slot."""
-        return any(ch.can_submit for ch in self._channels())
-
-    @property
-    def submitted(self):
-        """Total submissions across shards (monotonic)."""
-        return sum(ch.submitted for ch in self._channels())
-
-    @property
-    def failed(self):
-        """Total failed completions across shards (monotonic)."""
-        return sum(ch.failed for ch in self._channels())
-
-    @property
-    def usd_client(self):
-        """The first shard's stream — interface compatibility only;
-        use :meth:`MultiVolumeSwap.attachments` for teardown."""
-        return self._swap.slots[0].shard.channel.usd_client
-
-    def slot(self):
-        """An event that triggers when *any* shard has a free slot."""
-        sim = self._swap.sim
-        outer = sim.event("usbs.%s.slot" % self._swap.name)
-
-        def relay(_event):
-            if not outer.triggered:
-                outer.trigger(None)
-
-        for ch in self._channels():
-            ch.slot().add_callback(relay)
-        return outer
 
 
 class MultiVolumeSwap:
@@ -142,11 +109,6 @@ class MultiVolumeSwap:
             help="blok transactions routed, by backing, volume and op")
 
     # -- routing ------------------------------------------------------------
-
-    @property
-    def nvolumes(self):
-        """Number of stripe slots (distinct guarantees held)."""
-        return len(self.slots)
 
     def _locate(self, blok):
         """Global blok -> (slot index, shard-local blok)."""

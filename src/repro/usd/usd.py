@@ -166,11 +166,6 @@ class USDClient:
             self._sched_client.note_retry(sim.now - attempt_start + backoff)
             yield sim.timeout(backoff)
 
-    @property
-    def pending(self):
-        """Transactions queued or in service on the scheduler side."""
-        return self._sched_client.pending
-
     # Expose the accounting for tests and traces.
     @property
     def served_ns(self):
@@ -181,11 +176,6 @@ class USDClient:
     def lax_ns(self):
         """Laxity burned waiting with work queued — charged as served."""
         return self._sched_client.lax_ns
-
-    @property
-    def remaining(self):
-        """Slice nanoseconds left in the current period."""
-        return self._sched_client.remaining
 
 
 class USD:
