@@ -69,10 +69,20 @@ class TestShutdown:
                 == committed_before - 8)
 
     def test_system_keeps_running_after_shutdown(self, system):
-        app, _stretch, _driver = running_pager(system)
+        self._shutdown_one_of_two(system)
+
+    def test_fcfs_backing_keeps_running_after_shutdown(self):
+        # The FCFS straw man's depart is reached only through shutdown.
+        self._shutdown_one_of_two(NemesisSystem(backing="fcfs"))
+
+    @staticmethod
+    def _shutdown_one_of_two(system):
+        app, _stretch, driver = running_pager(system)
         other, _s, other_driver = running_pager(system, name="other")
+        client = driver.swap.channel.usd_client
         faults_before = other_driver.faults_slow
         app.shutdown()
+        assert client not in system.usd.clients
         system.run_for(3 * SEC)
         assert other_driver.faults_slow > faults_before
 
