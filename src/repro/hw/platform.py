@@ -7,8 +7,8 @@ system needs; :data:`ALPHA_EB164` is the configuration used by all the
 paper's experiments.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 KB = 1024
 MB = 1024 * KB
@@ -29,11 +29,10 @@ class Machine:
             comes from the cost model).
         io_regions: (name, bytes) pairs of special physical regions
             (e.g. DMA-capable memory) appended after main memory.
-        cpus: number of CPUs. 1 (the paper's uniprocessor Alpha) keeps
-            the classic single-CPU scheduling models; ``cpus > 1``
-            makes :class:`repro.system.NemesisSystem` build the SMP
-            platform (one Atropos run queue per core, domain placement
-            via :mod:`repro.place`). ``Platform(cpus=4)`` reads best.
+
+    The core count is not part of the machine: it is
+    :class:`repro.system.NemesisSystem`'s ``cpus`` (the mission key
+    ``[topology] cpus``).
     """
 
     name: str = "generic"
@@ -42,7 +41,6 @@ class Machine:
     vas_bytes: int = 8 * GB
     cpu_hz: int = 266_000_000
     io_regions: Tuple[Tuple[str, int], ...] = ()
-    cpus: int = 1
 
     def __post_init__(self):
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
@@ -51,8 +49,6 @@ class Machine:
             raise ValueError("phys_mem_bytes must be page-aligned")
         if self.vas_bytes % self.page_size:
             raise ValueError("vas_bytes must be page-aligned")
-        if self.cpus < 1:
-            raise ValueError("cpus must be at least 1")
 
     @property
     def page_shift(self):
@@ -89,10 +85,6 @@ class Machine:
     def pages_for(self, nbytes):
         """Number of pages needed to hold ``nbytes``."""
         return self.align_up(nbytes) // self.page_size
-
-
-Platform = Machine
-"""Alias for SMP topology descriptions: ``Platform(cpus=4)``."""
 
 
 ALPHA_EB164 = Machine(

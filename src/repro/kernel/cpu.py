@@ -1,11 +1,16 @@
 """CPU schedulers.
 
 Domains consume CPU in non-preemptible *bursts* (activations, thread
-steps, the experiments' per-page processing). Four models are provided:
+steps, the experiments' per-page processing). Three models are provided:
 
 * :class:`AtroposCpu` — the real thing: each domain holds a (p, s, x, l)
   CPU guarantee scheduled by :class:`~repro.sched.atropos.AtroposScheduler`.
   This is Nemesis's CPU scheduler family applied to compute bursts.
+  Each of its ``cpus`` cores runs its own Atropos run queue (per-core
+  slack and best-effort accounting, per-core ``sched_*`` metrics
+  labelled ``cpu0..cpuN-1``), and each domain's contract is placed onto
+  one core, for its lifetime, via :mod:`repro.place`. ``cpus=1`` is the
+  paper's uniprocessor.
 * :class:`FifoCpu` — a single CPU served in FIFO order: correct
   serialisation, no QoS. The paper's paging experiments are disk-bound,
   and this is the default for them (documented in DESIGN.md); the CPU
@@ -14,11 +19,6 @@ steps, the experiments' per-page processing). Four models are provided:
   of every paper figure passes through it.
 * :class:`UnlimitedCpu` — infinitely parallel CPU (each burst just takes
   its duration). Useful in unit tests isolating other components.
-* :class:`SmpAtroposCpu` — the multi-core plane: N CPUs, each with its
-  own Atropos run queue (per-core slack and best-effort accounting,
-  per-core ``sched_*`` metrics labelled ``cpu0..cpuN-1``), and placement
-  of each domain's contract onto one core, for its lifetime, via
-  :mod:`repro.place`.
 
 All expose ``register(name, qos=None) -> CpuAccount`` and accounts
 expose ``consume(ns) -> SimEvent``. Domains call
@@ -32,7 +32,7 @@ from heapq import heappush
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.place import PlacementError, PlacementPolicy
-from repro.sched.atropos import QoSSpec
+from repro.sched.atropos import AtroposScheduler, QoSSpec
 from repro.sim.core import SimEvent
 from repro.sim.units import MS
 
@@ -217,46 +217,15 @@ slack eligibility (fine for the disk-bound experiments)."""
 
 
 class AtroposCpu:
-    """CPU time under Atropos guarantees.
+    """CPU time under Atropos guarantees: ``cpus`` cores, each running
+    its own Atropos run queue.
 
-    Note the slack flag: CPU clients usually set ``x=True`` (the paper's
-    disk clients set it False to make the figures legible, but CPU
-    guarantees in Nemesis commonly allowed slack consumption).
-    """
-
-    def __init__(self, sim, scheduler_factory=None, trace=None,
-                 quantum=DEFAULT_QUANTUM):
-        from repro.sched.atropos import AtroposScheduler
-
-        self.quantum = quantum
-        self.sim = sim
-        self.sched = (scheduler_factory(sim) if scheduler_factory
-                      else AtroposScheduler(sim, name="cpu", trace=trace))
-
-    def register(self, name, qos=None):
-        account = CpuAccount(self, name)
-        account._client = self.sched.admit(name, qos or DEFAULT_CPU_QOS)
-        return account
-
-    def depart_account(self, account, discard=True):
-        """Release a domain's CPU contract so admission can re-grant it;
-        ends the client's refill loop and fails its queued bursts."""
-        client = account._client
-        if not client.departed:
-            self.sched.depart(client, discard=discard)
-
-    def _consume(self, account, ns, label):
-        return account._client.submit(None, label, ns)
-
-
-class SmpAtroposCpu:
-    """N CPUs, each running its own Atropos run queue.
-
-    The multi-core plane. Each core is a full
-    :class:`~repro.sched.atropos.AtroposScheduler` named ``cpu<i>`` —
-    so per-core slack/best-effort accounting and per-core ``sched_*``
-    metrics (labelled by core via the scheduler name) come from the
-    single-core machinery unchanged. What this class adds:
+    Each core is a full :class:`~repro.sched.atropos.AtroposScheduler`
+    named ``cpu<i>``, so per-core slack/best-effort accounting and
+    per-core ``sched_*`` metrics (labelled by core via the scheduler
+    name) come from the one scheduling engine. ``cpus=1`` is the
+    paper's uniprocessor; more cores are the multi-core plane. What
+    this class adds to the run queues:
 
     * **admission control over placement** — a contract is admitted onto
       exactly one core chosen by :class:`repro.place.PlacementPolicy`
@@ -265,21 +234,24 @@ class SmpAtroposCpu:
       :class:`repro.place.PlacementError` *before* any scheduler state
       is touched, even when aggregate spare capacity would cover it.
     * **departure** — :meth:`depart_account` releases a domain's core
-      share (used by ``App.shutdown`` so SMP re-admissions don't leak).
+      share (used by ``App.shutdown`` so re-admissions don't leak).
+
+    Note the slack flag: CPU clients usually set ``x=True`` (the paper's
+    disk clients set it False to make the figures legible, but CPU
+    guarantees in Nemesis commonly allowed slack consumption).
     """
 
-    def __init__(self, sim, cpus, placement="ffd", seed=1999,
-                 quantum=DEFAULT_QUANTUM, metrics=None, trace=None):
-        from repro.sched.atropos import AtroposScheduler
+    quantum = DEFAULT_QUANTUM
 
+    def __init__(self, sim, cpus=1, placement="ffd", seed=1999,
+                 metrics=None):
         if cpus < 1:
             raise ValueError("need at least one cpu, got %d" % cpus)
-        self.quantum = quantum
         self.sim = sim
         self.cpus = cpus
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.scheds = [AtroposScheduler(sim, name="cpu%d" % index,
-                                        trace=trace, metrics=metrics)
+                                        metrics=metrics)
                        for index in range(cpus)]
         self.policy = PlacementPolicy(cpus, policy=placement, seed=seed)
         self.accounts = {}   # domain name -> CpuAccount
@@ -290,6 +262,15 @@ class SmpAtroposCpu:
         self._c_refusals = self.metrics.counter(
             "place_admission_refusals_total",
             help="contracts refused because no single core fits")
+
+    @property
+    def sched(self):
+        """The one run queue of a one-core CPU; AttributeError on more
+        cores, so ``getattr(cpu, "sched", None)`` probes still work."""
+        if self.cpus != 1:
+            raise AttributeError("a %d-core CPU has one run queue per "
+                                 "core: read scheds" % self.cpus)
+        return self.scheds[0]
 
     # -- admission ---------------------------------------------------------
 

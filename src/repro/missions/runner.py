@@ -47,9 +47,9 @@ from repro.missions.schema import REPORT_SCHEMA_VERSION, in_run
 from repro.mm.balancer import MemoryBalancer
 from repro.sched.atropos import QoSSpec
 from repro.sim.units import MS, SEC
-from repro.supervise import (BalancerComponent, CoreComponent,
-                             DriverDomainComponent, PagerComponent,
-                             RestartPolicy, Supervisor, VolumeComponent)
+from repro.supervise import (BalancerComponent, PagerComponent,
+                             RestartPolicy, SchedulerComponent, Supervisor,
+                             VolumeComponent)
 from repro.system import NemesisSystem
 
 KB = 1024
@@ -297,8 +297,8 @@ class MissionRunner:
             kwargs["volume_seed"] = (topology["volume_seed"]
                                      or self.mission["mission"]["seed"])
         if topology["cpus"]:
-            # The SMP platform: per-core Atropos run queues with
-            # seed-stable domain placement (see repro.place).
+            # The Atropos CPU: per-core run queues with seed-stable
+            # domain placement (see repro.place).
             kwargs["cpus"] = topology["cpus"]
             kwargs["placement"] = topology["placement"]
             kwargs["place_seed"] = self.mission["mission"]["seed"]
@@ -536,17 +536,19 @@ class MissionRunner:
 
             components["balancer"] = BalancerComponent(balancer, remake)
         if run["topology"]["backing"] == "usd":
-            components["usd"] = DriverDomainComponent(system.usd)
+            components["usd"] = SchedulerComponent(system.usd.sched, "usd")
         if system.usbs is not None:
             for volume in system.usbs.volumes:
                 components["volume:%d" % volume.index] = VolumeComponent(
                     system.usbs, volume)
         scheds = getattr(system.cpu, "scheds", None)
         if scheds is not None:
-            # The SMP platform: each core's run queue is a supervised
-            # driver-domain component (cpu:<index>).
+            # The Atropos CPU: each core's run queue is a supervised
+            # scheduling loop (cpu:<index>).
             for index, sched in enumerate(scheds):
-                components["cpu:%d" % index] = CoreComponent(sched, index)
+                component_id = "cpu:%d" % index
+                components[component_id] = SchedulerComponent(
+                    sched, component_id)
         return components
 
     def _start_supervision(self, system, run, handles, balancer):
@@ -908,7 +910,7 @@ class MissionRunner:
         }
         core_map = getattr(system.cpu, "core_map", None)
         if core_map is not None:
-            # SMP runs only (keeps classic-topology reports byte-stable):
+            # Atropos-CPU runs only (keeps FIFO-CPU reports byte-stable):
             # where every domain's contract landed, and each core's
             # admitted share. Part of the payload, so the determinism
             # repeat leg byte-compares placement too.

@@ -81,9 +81,10 @@ MISSION_FIELDS = (
 
 #: ``[topology]`` — how the machine is built. ``machine_mb=0`` keeps
 #: the paper's EB164 platform; ``volume_seed=0`` reuses the mission
-#: seed. ``cpus=0`` keeps the classic single-CPU scheduling model;
-#: ``cpus >= 1`` builds the SMP platform (one Atropos run queue per
-#: core) with domain contracts placed by ``placement`` (see
+#: seed. ``cpus=0`` keeps the FIFO CPU the paper's paging experiments
+#: run on; ``cpus >= 1`` builds the Atropos CPU with that many cores
+#: (one run queue per core; ``cpus=1`` is the paper's uniprocessor),
+#: with domain contracts placed by ``placement`` (see
 #: :mod:`repro.place`), seeded by the mission seed. Defaults mirror
 #: :class:`repro.system.NemesisSystem`.
 TOPOLOGY_FIELDS = (

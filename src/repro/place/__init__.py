@@ -1,11 +1,13 @@
-"""Domain-to-core placement for the SMP platform.
+"""Domain-to-core placement for the Atropos CPU.
 
 The paper ran Nemesis on single-processor Alphas; this package is the
 part of the multi-core plane that goes *beyond* the paper: once
-:class:`repro.kernel.cpu.SmpAtroposCpu` gives every simulated CPU its
+:class:`repro.kernel.cpu.AtroposCpu` gives every simulated core its
 own Atropos run queue, somebody has to decide **which** core a domain's
 CPU contract lands on. A contract stays on that core until its domain
-departs.
+departs. On one core (the paper's uniprocessor) the decision is trivial
+and the policy is plain admission control: a contract fits or is
+refused with :class:`PlacementError`.
 
 :mod:`repro.place.policy` holds the decision: deterministic, seed-stable
 placement at admission, first-fit-decreasing by admitted CPU share with

@@ -17,22 +17,23 @@ Components wrap the four things that can die mid-flight:
   rebuild: re-admission of the Atropos/frames contracts and swap
   re-attach, with in-flight USD transactions aborted by the teardown
   (``depart(discard=True)``) and replayed by the fresh instance.
-* :class:`DriverDomainComponent` — the system USD's scheduling loop.
-  Contracts and queues survive the crash; the in-flight transaction is
+* :class:`SchedulerComponent` — one Atropos scheduling loop: the system
+  USD's (``usd``) or one CPU core's (``cpu:<index>``). Contracts and
+  queues survive the crash; the in-flight transaction or burst is
   requeued at the head of its owner's queue and replayed on restart.
 * :class:`BalancerComponent` — the MemoryBalancer observation loop,
   warm-started from the last healthy heartbeat's snapshot.
-* :class:`VolumeComponent` — one USBS volume's driver loop; escalation
-  degrades the volume and re-places its shards through the PR 5 drain
-  machinery, retiring it without taking the system down.
+* :class:`VolumeComponent` — one USBS volume's driver loop, a
+  :class:`SchedulerComponent` whose escalation degrades the volume and
+  re-places its shards through the PR 5 drain machinery, retiring it
+  without taking the system down.
 """
 
 from repro.supervise.components import (
     BalancerComponent,
     Component,
-    CoreComponent,
-    DriverDomainComponent,
     PagerComponent,
+    SchedulerComponent,
     VolumeComponent,
 )
 from repro.supervise.policy import RestartPolicy
@@ -45,7 +46,6 @@ from repro.supervise.supervisor import (
 
 __all__ = [
     "STATE_DEGRADED", "STATE_RETIRED", "STATE_RUNNING",
-    "BalancerComponent", "Component", "CoreComponent",
-    "DriverDomainComponent", "PagerComponent", "RestartPolicy",
-    "Supervisor", "VolumeComponent",
+    "BalancerComponent", "Component", "PagerComponent", "RestartPolicy",
+    "SchedulerComponent", "Supervisor", "VolumeComponent",
 ]

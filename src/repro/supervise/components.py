@@ -8,7 +8,7 @@ delivery), ``restart()`` (state reconstruction), ``checkpoint()``
 recent to start from), and the escalation pair ``degrade()`` /
 ``retire()``. Component identifiers are the crash plane's addressing
 scheme: ``pager:<name>``, ``balancer``, ``usd``, ``volume:<index>``,
-``cpu:<index>`` (the SMP platform's per-core run queues).
+``cpu:<index>`` (one per CPU core's run queue).
 """
 
 from repro.usbs.volume import DEGRADED as VOLUME_DEGRADED
@@ -157,65 +157,38 @@ class BalancerComponent(Component):
             self.balancer._proc.interrupt("retired")
 
 
-class DriverDomainComponent(Component):
-    """A USD driver domain's scheduling loop (the system disk's USD).
+class SchedulerComponent(Component):
+    """One Atropos scheduling loop: the system disk's USD (``usd``), one
+    USBS volume's driver (``volume:<index>``) or one CPU core's run
+    queue (``cpu:<index>``).
 
     The crash kills only the loop: clients, queues, allocations and the
     per-client refill processes all survive, and the in-flight
-    transaction is requeued at the head of its owner's queue
+    transaction or burst is requeued at the head of its owner's queue
     (:meth:`~repro.sched.atropos.AtroposScheduler.crash`). Restart
-    respawns the loop, which replays that transaction first — the
+    respawns the loop, which replays that item first — the
     abort-and-replay half of state reconstruction, charged to the same
-    stream that submitted it.
+    client that submitted it.
     """
 
-    def __init__(self, usd, component_id="usd"):
+    def __init__(self, sched, component_id):
         super().__init__(component_id)
-        self.usd = usd
-
-    def alive(self):
-        """The scheduling loop is serving transactions."""
-        return self.usd.sched.running
-
-    def kill(self, reason):
-        """Crash the loop; the in-flight transaction is requeued."""
-        self.usd.sched.crash(reason)
-
-    def restart(self):
-        """Respawn the loop; it replays the requeued transaction."""
-        self.usd.sched.restart()
-
-
-class CoreComponent(Component):
-    """One SMP core's Atropos run queue (component id ``cpu:<index>``).
-
-    The per-core analogue of :class:`DriverDomainComponent`: a crash
-    kills only the core's scheduling loop — every client's contract,
-    queue and refill process survives, and the in-flight burst is
-    requeued at the head of its owner's queue. Restart respawns the
-    loop, which replays that burst first, so a supervised core recovers
-    without losing any domain's CPU accounting.
-    """
-
-    def __init__(self, sched, index):
-        super().__init__("cpu:%d" % index)
         self.sched = sched
-        self.index = index
 
     def alive(self):
-        """The core's scheduling loop is serving bursts."""
+        """The scheduling loop is serving work."""
         return self.sched.running
 
     def kill(self, reason):
-        """Crash the core's loop; the in-flight burst is requeued."""
+        """Crash the loop; the in-flight item is requeued."""
         self.sched.crash(reason)
 
     def restart(self):
-        """Respawn the core's loop; it replays the requeued burst."""
+        """Respawn the loop; it replays the requeued item."""
         self.sched.restart()
 
 
-class VolumeComponent(Component):
+class VolumeComponent(SchedulerComponent):
     """One USBS volume's driver loop, with drain-backed escalation.
 
     Restart is the driver-domain replay (same as the system USD).
@@ -229,26 +202,14 @@ class VolumeComponent(Component):
     """
 
     def __init__(self, manager, volume):
-        super().__init__("volume:%d" % volume.index)
+        super().__init__(volume.usd.sched, "volume:%d" % volume.index)
         self.manager = manager
         self.volume = volume
 
-    def alive(self):
-        """The volume's scheduling loop is serving transactions."""
-        return self.volume.usd.sched.running
-
-    def kill(self, reason):
-        """Crash the volume's loop; in-flight I/O is requeued."""
-        self.volume.usd.sched.crash(reason)
-
-    def restart(self):
-        """Respawn the volume's loop (abort-and-replay)."""
-        self.volume.usd.sched.restart()
-
     def degrade(self):
         """Limp-along restart + evacuate every shard (PR 5 drains)."""
-        if not self.volume.usd.sched.running:
-            self.volume.usd.sched.restart()
+        if not self.sched.running:
+            self.sched.restart()
         if self.volume.state == VOLUME_HEALTHY:
             self.manager.degrade(self.volume)
         return True

@@ -28,7 +28,7 @@ from repro.hw.mmu import MMU
 from repro.hw.pagetable import GuardedPageTable, LinearPageTable
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.platform import ALPHA_EB164
-from repro.kernel.cpu import AtroposCpu, FifoCpu, SmpAtroposCpu, UnlimitedCpu
+from repro.kernel.cpu import AtroposCpu, FifoCpu, UnlimitedCpu
 from repro.kernel.kernel import Kernel
 from repro.mm.frames import FramesAllocator
 from repro.mm.mmentry import MMEntry
@@ -48,7 +48,7 @@ from repro.usd.sfs import Partition, SwapFileSystem
 from repro.usd.usd import USD
 
 _PAGETABLES = {"linear": LinearPageTable, "guarded": GuardedPageTable}
-_CPUS = {"fifo": FifoCpu, "atropos": AtroposCpu, "unlimited": UnlimitedCpu}
+_CPUS = ("fifo", "atropos", "unlimited")
 
 
 class App:
@@ -327,20 +327,21 @@ class NemesisSystem:
         self.scrubbers = {}         # backing name -> Scrubber
         self.integrity_swaps = []   # every ChecksummedSwap built
         self._escalator = None
-        # Kernel + CPU. `cpus` (or a Machine with cpus > 1) selects the
-        # SMP platform: one Atropos run queue per core, with domain
-        # placement by `placement`/`place_seed` (see repro.place). The
-        # default (cpus=0 on a uniprocessor machine) keeps the classic
-        # single-CPU models bit-identical.
-        smp_cpus = cpus or (machine.cpus if machine.cpus > 1 else 0)
-        if smp_cpus:
-            self.cpu = SmpAtroposCpu(self.sim, cpus=smp_cpus,
-                                     placement=placement, seed=place_seed,
-                                     metrics=self.metrics)
+        # Kernel + CPU. `cpus=N` builds N cores, each with its own Atropos
+        # run queue, with domain placement by `placement`/`place_seed`
+        # (see repro.place); `cpu="atropos"` is the one-core case, the
+        # paper's uniprocessor. Otherwise (cpus=0) `cpu` picks the FIFO
+        # or unlimited model.
+        if cpu not in _CPUS:
+            raise ValueError("cpu must be one of %s" % list(_CPUS))
+        if cpus or cpu == "atropos":
+            self.cpu = AtroposCpu(self.sim, cpus=cpus or 1,
+                                  placement=placement, seed=place_seed,
+                                  metrics=self.metrics)
+        elif cpu == "fifo":
+            self.cpu = FifoCpu(self.sim)
         else:
-            if cpu not in _CPUS:
-                raise ValueError("cpu must be one of %s" % list(_CPUS))
-            self.cpu = _CPUS[cpu](self.sim)
+            self.cpu = UnlimitedCpu(self.sim)
         self.kernel = Kernel(self.sim, machine, self.mmu, self.meter,
                              self.cpu, metrics=self.metrics,
                              spans=self.spans)

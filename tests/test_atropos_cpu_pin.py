@@ -5,8 +5,10 @@
 integration tests only check ranges there, so this test pins exact
 values: a change to the burst path (domain step, CPU account, scheduler
 loop) that shifts a charged nanosecond or reorders two same-instant
-heap entries fails here. It pins the per-client accounting, per-thread
-progress and dispatched-event count of one small mixed workload:
+heap entries fails here. It pins the per-client accounting (on the
+clients and in the core's live ``sched_*{sched="cpu0"}`` counters),
+per-thread progress and dispatched-event count of one small mixed
+workload:
 
 * three contracted domains (40%, 25% with laxity, 10%) and one
   slack-eligible 5% domain, two threads each;
@@ -95,11 +97,18 @@ def run_pin_workload():
                              client.slack_ns, client.served_items,
                              client.slack_items)
                for client in system.cpu.sched.clients}
-    return clients, touches, system.sim.events_dispatched
+    return system, clients, touches
 
 
 def test_single_core_atropos_output_is_pinned():
-    clients, touches, events = run_pin_workload()
+    system, clients, touches = run_pin_workload()
     assert clients == EXPECTED_CLIENTS
     assert touches == EXPECTED_TOUCHES
-    assert events == EXPECTED_EVENTS
+    assert system.sim.events_dispatched == EXPECTED_EVENTS
+    # The one core's live metrics read the same pinned service.
+    snap = system.metrics.snapshot()
+    for name, (served, lax, slack, _, _) in EXPECTED_CLIENTS.items():
+        labels = {"sched": "cpu0", "client": name}
+        assert snap.get("sched_served_ns_total", **labels) == served
+        assert snap.get("sched_lax_ns_total", **labels) == lax
+        assert snap.get("sched_slack_ns_total", **labels) == slack

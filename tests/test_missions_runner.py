@@ -24,7 +24,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(REPO, "tests", "golden")
 
 #: One committed golden report per corpus family, plus smp-scaling:
-#: its one-core run pins the single-core SmpAtroposCpu output.
+#: its one-core run pins the one-core AtroposCpu output.
 GOLDEN_MISSIONS = [
     ("chaos", os.path.join("missions", "chaos-fig9.toml")),
     ("pressure", os.path.join("missions", "pressure-revocation.toml")),

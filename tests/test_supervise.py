@@ -16,7 +16,7 @@ from repro.mm.balancer import MemoryBalancer
 from repro.sim.core import Simulator
 from repro.sim.units import MS, SEC
 from repro.supervise import (Component, RestartPolicy, Supervisor,
-                             BalancerComponent, DriverDomainComponent)
+                             BalancerComponent, SchedulerComponent)
 from repro.system import NemesisSystem
 
 
@@ -219,7 +219,7 @@ class TestComponentAdapters:
 
     def test_driver_domain_component_crash_and_replay(self):
         system = NemesisSystem()
-        component = DriverDomainComponent(system.usd)
+        component = SchedulerComponent(system.usd.sched, "usd")
         system.run(100 * MS)
         assert component.alive()
         component.kill("test")
