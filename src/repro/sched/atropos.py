@@ -29,8 +29,8 @@ implement it generically:
 Work items are non-preemptible (a disk transaction cannot be split),
 which is exactly why roll-over exists.
 
-Every Atropos instance (the single-core CPU, each SMP core, the system
-USD and every USBS volume) runs the same loop, and the loop is not a
+Every Atropos instance (each CPU core, the system USD and every USBS
+volume) runs the same loop, and the loop is not a
 simulator process: it is a server of heap callbacks. A CPU burst is
 timed by two heap entries, a disk transaction's generator is stepped
 by the scheduler itself, and a crash kills the loop at an interrupt
@@ -161,9 +161,6 @@ class AtroposClient:
         self._c_slack_ns = metrics.counter(
             "sched_slack_ns_total",
             help="uncharged slack-time service received").child(**labels)
-        self._c_items = metrics.counter(
-            "sched_items_total",
-            help="work items completed (charged + slack)").child(**labels)
         self._c_debit_ns = metrics.counter(
             "sched_rollover_debit_ns_total",
             help="overrun time carried into later periods").child(**labels)
@@ -582,7 +579,6 @@ class AtroposScheduler:
         self._current = None
         duration = self.sim._now - self._started
         client._h_txn.observe(duration)
-        client._c_items.inc()
         if self._charged:
             client.remaining -= duration
             client.served_items += 1

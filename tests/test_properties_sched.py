@@ -117,7 +117,7 @@ class TestSchedulerProperties:
             # Debits only exist at all if the client actually served
             # work; an idle client accumulates none.
             if snap.get("sched_rollover_debit_ns_total", **labels) > 0:
-                assert snap.get("sched_items_total", **labels) > 0
+                assert snap.get("sched_txn_ns", **labels)["count"] > 0
 
     @given(st.lists(st.floats(0.02, 0.4), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
