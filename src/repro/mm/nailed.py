@@ -30,22 +30,6 @@ class NailedDriver(StretchDriver):
             self._map_page(va, pfn, nailed=True)
         return stretch
 
-    def unbind(self, stretch):
-        """Release the stretch's frames (un-nail, unmap, back to pool)."""
-        if self.stretches.pop(stretch.sid, None) is None:
-            raise ValueError("stretch %d not bound to %s" % (stretch.sid,
-                                                             self.name))
-        stretch.driver = None
-        for va in stretch.pages():
-            vpn = self.machine.page_of(va)
-            pte = self.translation.pagetable.peek(vpn)
-            if pte is None or not pte.mapped:
-                continue
-            pte.nailed = False
-            self.translation.ramtab.unnail(pte.pfn)
-            pfn, _dirty = self._unmap_page(vpn)
-            self._free.append(pfn)
-
     def try_fast(self, fault):
         # A nailed stretch cannot legitimately fault: the frames are
         # there. Any fault is a bug (or a protection violation) and there

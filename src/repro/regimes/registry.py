@@ -58,10 +58,6 @@ class PagerRegistry:
         self._by_sid[stretch.sid] = driver
         return stretch
 
-    def unbind_sid(self, sid):
-        """Drop the fault route for one stretch (driver stays ranked)."""
-        return self._by_sid.pop(sid, None)
-
     # -- lookup ------------------------------------------------------------
 
     def driver_for_sid(self, sid):

@@ -324,19 +324,3 @@ class SegDriver(StretchDriver):
                 arranged += 1
         return arranged
         yield  # pragma: no cover  (generator interface)
-
-    # -- teardown ----------------------------------------------------------
-
-    def unbind(self, stretch):
-        """Unmap the stretch's extent and pool its frames."""
-        if self.stretches.pop(stretch.sid, None) is None:
-            raise ValueError("stretch %d not bound to %s" % (stretch.sid,
-                                                             self.name))
-        stretch.driver = None
-        extent = self.seg.extent_of(stretch.sid)
-        if extent is not None:
-            freed = self.translation.unmap_extent(self.domain, stretch)
-            for pfn in freed:
-                self.frames.stack.info(pfn).pop("vpn", None)
-                self.frames.stack.move_to_top(pfn)
-                self._free.append(pfn)

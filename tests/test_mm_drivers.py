@@ -42,15 +42,6 @@ class TestNailedDriver:
         assert thread.faults == 0
         assert system.kernel.faults_dispatched == 0
 
-    def test_unbind_releases_frames(self, system):
-        app = system.new_app("n", guaranteed_frames=8)
-        stretch = app.new_stretch(4 * system.machine.page_size)
-        driver = app.nailed_driver()
-        app.bind(stretch, driver)
-        driver.unbind(stretch)
-        assert driver.free_frames == 4
-        assert stretch.driver is None
-
     def test_double_bind_rejected(self, system):
         app = system.new_app("n", guaranteed_frames=8)
         stretch = app.new_stretch(system.machine.page_size)

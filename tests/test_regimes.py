@@ -113,15 +113,6 @@ class TestPagerRegistry:
         registry.register(driver, priority=7)
         assert registry.priority_of(driver) == 7
 
-    def test_unbind_drops_route_but_keeps_rank(self):
-        registry = PagerRegistry()
-        driver = object()
-        registry.bind(_FakeStretch(3), driver, priority=2)
-        assert registry.unbind_sid(3) is driver
-        assert registry.driver_for_sid(3) is None
-        assert driver in registry
-        assert registry.unbind_sid(3) is None
-
 
 # ---------------------------------------------------------------------------
 # SegDriver + SegTranslation
