@@ -40,9 +40,12 @@ class IOChannel:
         """
         if not self.can_submit:
             raise RuntimeError("IO channel full (depth=%d)" % self.depth)
+        # Take the slot only once the USD accepts the transaction: a
+        # departed stream's submit raises, and a slot taken before it
+        # would never be freed.
+        done = self.usd_client.submit(request)
         self.outstanding += 1
         self.submitted += 1
-        done = self.usd_client.submit(request)
         done.add_callback(self._on_complete)
         return done
 

@@ -3,7 +3,8 @@
 Covers the :class:`~repro.usbs.manager.VolumeManager` control plane
 (placement, aggregate admission with rollback, the degraded-volume
 drain) and the :class:`~repro.usbs.multiswap.MultiVolumeSwap` data
-plane (striped routing, re-placement routing, lost-blok containment).
+plane (striped routing, re-placement routing, lost-blok containment,
+submissions deferred behind a full channel).
 """
 
 import pytest
@@ -219,3 +220,53 @@ class TestDegradedVolumePath:
                          if volume is not victim)
         assert bystander.state == HEALTHY
         assert manager.fault_exposure_by_volume()[bystander.name] == 0
+
+
+class TestDeferredSubmission:
+    """More reads to one shard than its IO channel's depth: the extra
+    reads wait for a free slot (``MultiVolumeSwap._submit_when_free``)
+    instead of overfilling the channel."""
+
+    READS = 5
+
+    def flood(self):
+        """A populated one-shard backing with READS reads issued at one
+        instant on a depth-2 channel."""
+        sim, machine, manager = make_manager(nvolumes=2, placement=PINNED)
+        swap = manager.create_backing("a", swap_bytes(machine, 8), QOS,
+                                      depth=2)
+        assert run_traffic(sim, swap, range(swap.nbloks)) == []
+        shard = swap.slots[0].shard
+        submitted = shard.channel.submitted
+        reads = [swap.read(blok) for blok in range(self.READS)]
+        assert shard.channel.outstanding == shard.channel.depth == 2
+        assert shard.channel.submitted - submitted == 2
+        return sim, shard, reads
+
+    def test_extra_reads_wait_for_slots_and_complete_in_order(self):
+        sim, shard, reads = self.flood()
+        done = []
+        for blok, read in enumerate(reads):
+            read.add_callback(lambda event, b=blok: done.append((b, sim.now)))
+        sim.run_until_triggered(reads[0], limit=10 * SEC)
+        # The deferred reads have not reached the disk yet.
+        assert not any(read.triggered for read in reads[2:])
+        sim.run_until_triggered(sim.all_of(reads), limit=10 * SEC)
+        assert all(read.ok for read in reads)
+        assert [blok for blok, _ in done] == list(range(self.READS))
+        times = [when for _, when in done]
+        assert times == sorted(set(times))
+        assert shard.channel.outstanding == 0
+
+    def test_departure_fails_waiting_reads(self):
+        sim, shard, reads = self.flood()
+        channel = shard.channel
+        channel.usd_client.usd.depart(channel.usd_client, discard=True)
+        sim.run(until=sim.now + 10 * SEC)
+        # Every read resolves; the deferred ones fail at their submit
+        # instead of wedging behind a slot the failed submits kept.
+        assert all(read.triggered for read in reads)
+        for read in reads[2:]:
+            with pytest.raises(RuntimeError, match="has departed"):
+                read.value
+        assert channel.outstanding == 0
