@@ -151,8 +151,11 @@ class FifoCpu:
     moves to its end inline and the domain takes its next step in the
     same callback, so the four entries (start, elapsed, complete and
     the domain's turn) that would have popped back to back are never
-    pushed. docs/PERFORMANCE.md ("one FIFO burst") explains why each
-    entry stays otherwise and why skipping them moves no result.
+    pushed. A burst that does not run ahead still skips its completion
+    entry when nothing else is due at its end: :meth:`_elapsed` then
+    completes it inline. docs/PERFORMANCE.md ("one FIFO burst") explains
+    why each entry stays otherwise and why skipping them moves no
+    result.
     """
 
     def __init__(self, sim, quantum=DEFAULT_QUANTUM):
@@ -201,7 +204,12 @@ class FifoCpu:
         self._busy = False
 
     def _elapsed(self):
+        # The burst completes after the entries already queued for this
+        # instant, and inline when there are none.
         sim = self.sim
+        if sim._run_ahead(sim._now):
+            self._complete()
+            return
         sim._seq += 1
         heappush(sim._heap, (sim._now, sim._seq, FifoCpu._complete, self))
 

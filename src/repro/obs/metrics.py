@@ -20,6 +20,9 @@ Design notes:
   subtracts counters and histograms (gauges keep their current value),
   which is how tests assert "this workload cost N faults for domain X
   and zero for Y".
+* A gauge that mirrors state the owner keeps anyway (a queue's length)
+  need not be set on every change: the owner registers a collector
+  with ``collect(fn)``, and ``snapshot()`` calls it first.
 
 Everything is simulation-agnostic: no clocks, no simulator imports.
 """
@@ -387,6 +390,7 @@ class MetricsRegistry:
     def __init__(self, enabled=True):
         self.enabled = enabled
         self._families = {}
+        self._collectors = []
 
     def _family(self, name, kind, factory):
         if not self.enabled:
@@ -412,8 +416,17 @@ class MetricsRegistry:
             name, "histogram",
             lambda: HistogramFamily(name, buckets, help=help))
 
+    def collect(self, fn):
+        """Call ``fn()`` at the start of every :meth:`snapshot`, so it can
+        set gauges that are read rather than kept up to date. A disabled
+        registry ignores the call."""
+        if self.enabled:
+            self._collectors.append(fn)
+
     def snapshot(self):
         """Capture every series right now."""
+        for fn in self._collectors:
+            fn()
         data = {}
         for name, family in self._families.items():
             data[name] = (family.kind, family.series())

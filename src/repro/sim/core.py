@@ -29,7 +29,10 @@ simulator grants that (:meth:`Simulator._run_ahead`) only while
 :meth:`Simulator.run` or :meth:`Simulator.run_until_triggered` is
 dispatching, and only when no entry, bound or target could come first,
 so every simulated result is the same as without it. The FIFO CPU uses
-it for a burst that starts on an idle CPU.
+it for a burst that starts on an idle CPU, and every Atropos loop for a
+plain burst it starts; both also use it with the clock unmoved, to run
+a same-instant hand-off (a burst's completion, the Atropos guard)
+inline instead of queueing it behind nothing.
 """
 
 import heapq
@@ -412,8 +415,10 @@ class Simulator:
 
         A callback about to push entries that would pop back to back up
         to ``end`` (its own continuation last) calls this instead; on
-        True it goes on at ``end`` in the same dispatch. Three things
-        must hold:
+        True it goes on at ``end`` in the same dispatch. With ``end ==
+        now`` the clock stays put: that is the same-instant case, a
+        callback about to queue its continuation for this very instant,
+        which runs inline on True. Three things must hold:
 
         * the heap's earliest entry is strictly later than ``end``, so
           no other entry runs in between, nor at ``end`` ahead of the
