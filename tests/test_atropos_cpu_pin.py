@@ -53,7 +53,7 @@ EXPECTED_TOUCHES = {
     "pin-10-t0": 98, "pin-10-t1": 99,
     "pin-bg-t0": 321, "pin-bg-t1": 320,
 }
-EXPECTED_EVENTS = 22406
+EXPECTED_EVENTS = 9734
 
 
 def _worker(system, visit, computes, touches, key, sleeps):
