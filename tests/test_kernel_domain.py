@@ -311,6 +311,11 @@ class TestPendingEventTracking:
 BURST = 300 * US
 
 
+#: The CPU models a domain's burst may run on: the default FIFO CPU and
+#: the one-core Atropos CPU.
+CPUS = ("fifo", "atropos")
+
+
 def _stepper(system, marks):
     """An app whose one thread twice computes a burst and marks the step
     after it. The body is finite, so a burst completed at the wrong
@@ -325,10 +330,10 @@ def _stepper(system, marks):
     return app.spawn(body())
 
 
-def _first_step_time():
+def _first_step_time(cpu):
     """When the stepper's step after its first burst runs, which is the
     instant that burst ends, measured on a fresh system."""
-    system = NemesisSystem()
+    system = NemesisSystem(cpu=cpu)
     marks = []
     thread = _stepper(system, marks)
     system.sim.run_until_triggered(thread.done, limit=1 * SEC)
@@ -336,46 +341,51 @@ def _first_step_time():
 
 
 class TestBurstBoundaries:
-    """What happens at the instant a domain's burst ends on the default
-    FIFO CPU, relative to other work due then and to the bound of the
-    running ``run`` or ``run_until_triggered`` call."""
+    """What happens at the instant a domain's burst ends, on the default
+    FIFO CPU and on the one-core Atropos CPU, relative to other work due
+    then and to the bound of the running ``run`` or
+    ``run_until_triggered`` call."""
 
     def test_timer_due_at_a_bursts_end_runs_before_the_next_step(self):
-        end = _first_step_time()
-        system = NemesisSystem()
-        marks = []
-        thread = _stepper(system, marks)
-        system.sim.call_at(end, lambda: marks.append(("timer", system.now)))
-        system.sim.run_until_triggered(thread.done, limit=1 * SEC)
-        assert marks[:2] == [("timer", end), ("step", end)]
+        for cpu in CPUS:
+            end = _first_step_time(cpu)
+            system = NemesisSystem(cpu=cpu)
+            marks = []
+            thread = _stepper(system, marks)
+            system.sim.call_at(end,
+                               lambda: marks.append(("timer", system.now)))
+            system.sim.run_until_triggered(thread.done, limit=1 * SEC)
+            assert marks[:2] == [("timer", end), ("step", end)], cpu
 
     def test_run_until_before_a_bursts_end_does_not_take_the_step(self):
-        end = _first_step_time()
-        system = NemesisSystem()
-        marks = []
-        _stepper(system, marks)
-        system.run(until=end - 1)
-        assert system.now == end - 1
-        assert marks == []
-        system.run(until=end)
-        assert system.now == end
-        assert marks == [("step", end)]
+        for cpu in CPUS:
+            end = _first_step_time(cpu)
+            system = NemesisSystem(cpu=cpu)
+            marks = []
+            _stepper(system, marks)
+            system.run(until=end - 1)
+            assert system.now == end - 1
+            assert marks == [], cpu
+            system.run(until=end)
+            assert system.now == end
+            assert marks == [("step", end)], cpu
 
     def test_run_until_triggered_returns_when_a_thread_triggers(self):
-        system = NemesisSystem()
-        app = system.new_app("trigger", guaranteed_frames=1)
-        target = system.sim.event("target")
-        marks = []
+        for cpu in CPUS:
+            system = NemesisSystem(cpu=cpu)
+            app = system.new_app("trigger", guaranteed_frames=1)
+            target = system.sim.event("target")
+            marks = []
 
-        def body():
-            yield Compute(BURST)
-            target.trigger(system.now)
-            yield Compute(BURST)
-            marks.append(system.now)
+            def body():
+                yield Compute(BURST)
+                target.trigger(system.now)
+                yield Compute(BURST)
+                marks.append(system.now)
 
-        thread = app.spawn(body())
-        when = system.sim.run_until_triggered(target, limit=1 * SEC)
-        assert when > 0
-        assert system.now == when
-        assert marks == []
-        assert not thread.done.triggered
+            thread = app.spawn(body())
+            when = system.sim.run_until_triggered(target, limit=1 * SEC)
+            assert when > 0
+            assert system.now == when
+            assert marks == [], cpu
+            assert not thread.done.triggered, cpu

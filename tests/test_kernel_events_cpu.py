@@ -188,15 +188,17 @@ class TestFifoCpu:
         assert max(completions) == sum(ns for _who, ns in bursts)
 
     @settings(max_examples=40, deadline=None)
-    @given(domains=st.lists(_THREADS, min_size=1, max_size=3),
+    @given(cpu=st.sampled_from(("fifo", "atropos")),
+           domains=st.lists(_THREADS, min_size=1, max_size=3),
            cuts=st.lists(st.integers(0, HORIZON), max_size=8))
-    def test_one_run_equals_many_runs(self, domains, cuts):
-        """Domains on the default FIFO CPU reach the same state whether
-        one ``run(until=HORIZON)`` drives them or several ``run`` calls
-        that stop at arbitrary instants first: every thread steps at the
-        same times and every account is billed the same."""
+    def test_one_run_equals_many_runs(self, cpu, domains, cuts):
+        """Domains on the default FIFO CPU or the one-core Atropos CPU
+        reach the same state whether one ``run(until=HORIZON)`` drives
+        them or several ``run`` calls that stop at arbitrary instants
+        first: every thread steps at the same times and every account
+        is billed the same."""
         def simulate(stops):
-            system = NemesisSystem()
+            system = NemesisSystem(cpu=cpu)
             steps = {}
             accounts = {}
 
@@ -282,6 +284,48 @@ class TestAtroposCpu:
         assert sim.now == 1 * MS + 300 * US
         client = account._client
         assert (client.served_ns, client.served_items) == (300 * US, 1)
+
+    def test_a_burst_is_charged_only_once_its_end_is_reached(self, sim):
+        """A ``run`` bounded just before a burst's end leaves it
+        uncharged, although nothing else is due before that end; the
+        next ``run`` to its end charges it. The laxity keeps the
+        workless client runnable until its burst arrives at 1 ms."""
+        cpu = AtroposCpu(sim)
+        account = cpu.register("a", qos=QoSSpec(period_ns=10 * MS,
+                                                slice_ns=5 * MS,
+                                                laxity_ns=2 * MS))
+        client = account._client
+        sim.run(until=1 * MS)
+        done = account.consume(300 * US)
+        end = 1 * MS + 300 * US
+        sim.run(until=end - 1)
+        assert not done.triggered
+        assert client.served_ns == 0
+        sim.run(until=end)
+        assert done.triggered
+        assert (client.served_ns, client.served_items) == (300 * US, 1)
+
+    def test_a_burst_ending_on_a_period_boundary_is_charged_after_the_refill(
+            self, sim):
+        """The refill due at a period boundary lands before a burst that
+        ends there is charged, so the burst is charged against the new
+        allocation."""
+        period = 10 * MS
+        cpu = AtroposCpu(sim)
+        account = cpu.register("a", qos=QoSSpec(period_ns=period,
+                                                slice_ns=period))
+        client = account._client
+        seen = []
+
+        def loop():
+            for _ in range(20):
+                yield account.consume(500 * US)
+                seen.append((sim.now, client.remaining, client.deadline))
+
+        sim.spawn(loop())
+        sim.run(until=period)
+        assert len(seen) == 20
+        assert seen[-1] == (period, period - 500 * US, 2 * period)
 
 
 class TestQuantumSplitting:
