@@ -123,7 +123,10 @@ class BalancerComponent(Component):
     warm-start snapshot; every healthy heartbeat checkpoints the live
     balancer's last fault observations, so the replacement resumes
     pressure deltas where the dead instance left off instead of
-    mistaking lifetime fault totals for a pressure spike.
+    mistaking lifetime fault totals for a pressure spike. Retiring it
+    takes no step of its own: the supervisor escalates only after the
+    loop was killed or died, so nothing rebalances again and the
+    allocations stay as they were.
     """
 
     def __init__(self, balancer, make, on_restart=None):
@@ -150,11 +153,6 @@ class BalancerComponent(Component):
         self.balancer = self.make(dict(self._snapshot))
         if self.on_restart is not None:
             self.on_restart(self.balancer)
-
-    def retire(self):
-        """Stop rebalancing permanently (allocations stay frozen)."""
-        if self.balancer._proc.alive:
-            self.balancer._proc.interrupt("retired")
 
 
 class SchedulerComponent(Component):
@@ -221,7 +219,3 @@ class VolumeComponent(SchedulerComponent):
         if self.volume.state == VOLUME_DEGRADED:
             return "degraded"
         return None
-
-    def retire(self):
-        """Force retirement (drain already done or impossible)."""
-        self.volume.set_state(VOLUME_RETIRED)

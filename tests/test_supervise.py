@@ -11,12 +11,15 @@ volume drain-and-retire — lives in the crash-recovery missions and
 
 import pytest
 
+from repro.apps.pager_app import KB, PagingApplication
 from repro.faults import CrashInjector, CrashPlan, CrashRule
 from repro.mm.balancer import MemoryBalancer
+from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
 from repro.sim.units import MS, SEC
 from repro.supervise import (Component, RestartPolicy, Supervisor,
-                             BalancerComponent, SchedulerComponent)
+                             BalancerComponent, PagerComponent,
+                             SchedulerComponent)
 from repro.system import NemesisSystem
 
 
@@ -216,6 +219,61 @@ class TestComponentAdapters:
         assert component.alive()
         assert component.balancer is not balancer
         assert component.balancer.snapshot() == snapshot
+
+    def test_retired_balancer_makes_no_further_decisions(self):
+        """A kill past a zero restart budget retires the balancer: no
+        replacement is built and the dead loop decides nothing more."""
+        system = NemesisSystem()
+        balancer = MemoryBalancer(system)
+        component = BalancerComponent(
+            balancer,
+            lambda snapshot: MemoryBalancer(system, warm_start=snapshot))
+        injector = CrashInjector(CrashPlan(seed=1, rules=(
+            CrashRule(component="balancer", start_ns=1200 * MS),)))
+        supervisor = Supervisor(system.sim, heartbeat_ns=100 * MS,
+                                policy=RestartPolicy(max_restarts=0),
+                                injector=injector)
+        record = supervisor.supervise(component)
+        system.run(2 * SEC)
+        assert record.state == "retired"
+        assert component.balancer is balancer
+        # One decision per 500 ms period before the kill at 1.2 s.
+        assert len(balancer.decisions) == 2
+        system.run(5 * SEC)
+        assert len(balancer.decisions) == 2
+
+    def test_pager_whose_domain_dies_past_its_budget_is_retired(self):
+        """A pager whose domain dies with no restart left is torn down
+        for good: its App and its USD stream are gone, and no
+        replacement is built."""
+        system = NemesisSystem()
+        qos = QoSSpec(period_ns=100 * MS, slice_ns=20 * MS,
+                      laxity_ns=5 * MS)
+        builds = []
+
+        def build():
+            builds.append(PagingApplication(
+                system, "victim", qos, stretch_bytes=64 * KB,
+                swap_bytes=256 * KB))
+            return builds[-1]
+
+        streams_before = list(system.usd.clients)
+        component = PagerComponent("victim", build)
+        streams = [stream for stream in system.usd.clients
+                   if stream not in streams_before]
+        assert streams
+        supervisor = Supervisor(system.sim, heartbeat_ns=100 * MS,
+                                policy=RestartPolicy(max_restarts=0))
+        record = supervisor.supervise(component)
+        system.run(150 * MS)
+        assert record.state == "running"
+        pager = component.pager
+        pager.app.domain.kill("test")
+        system.run(400 * MS)
+        assert record.state == "retired"
+        assert len(builds) == 1
+        assert pager.app not in system.apps
+        assert not any(stream in system.usd.clients for stream in streams)
 
     def test_driver_domain_component_crash_and_replay(self):
         system = NemesisSystem()
