@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exp import report
+from repro.exp import metrics_report, report
 from repro.exp.common import PagingConfig, small_config
 from repro.sim.trace import Trace
 from repro.sim.units import MS
@@ -116,3 +116,29 @@ class TestCsvExport:
         assert rows[0] == ["run", "client", "mbit_per_s"]
         assert any(row[0] == "solo" for row in rows[1:])
         assert any(row[0] == "contended" for row in rows[1:])
+
+
+class TestMetricsReport:
+    def test_idle_domain_costs_nothing_and_queue_depths_are_live(self):
+        """The ``report --metrics`` workload: the idle domain took no
+        fault, dispatch, USD transaction or block, and every stream's
+        ``sched_queue_depth`` is its queue's length."""
+        system = metrics_report.run_workload(run_sec=1.0)
+        snapshot = system.metrics.snapshot()
+
+        def costs(domain, stream):
+            faults = sum(snapshot.get("mm_faults_resolved_total",
+                                      domain=domain, path=path)
+                         for path in ("fast", "slow"))
+            return (faults,
+                    snapshot.get("kernel_faults_dispatched_total",
+                                 domain=domain),
+                    snapshot.get("usd_transactions_total", client=stream),
+                    snapshot.get("usd_blocks_total", client=stream))
+
+        assert costs("idle", "idle-paged") == (0, 0, 0, 0)
+        assert all(count > 0 for count in costs("active", "active-paged"))
+        sched = system.usd.sched
+        for client in sched.clients:
+            assert snapshot.get("sched_queue_depth", sched=sched.name,
+                                client=client.name) == len(client.queue)

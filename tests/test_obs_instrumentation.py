@@ -179,6 +179,34 @@ class TestRevocationMetrics:
             hog.frames.allocated
 
 
+class TestSchedQueueDepth:
+    def test_queue_depth_is_each_clients_queue_at_snapshot(self):
+        """``sched_queue_depth`` is read from the client's queue when the
+        registry is snapshotted: queued, served, replayed and discarded
+        items all show."""
+        system = NemesisSystem(cpu="atropos")
+        sched = system.cpu.sched
+        registry = system.metrics
+        account = system.cpu.register(
+            "busy", qos=QoSSpec(period_ns=10 * MS, slice_ns=5 * MS))
+        client = account._client
+
+        def depth():
+            return registry.snapshot().get(
+                "sched_queue_depth", sched=sched.name, client="busy")
+
+        for _ in range(3):
+            account.consume(100 * US)
+        assert depth() == 3
+        system.run_for(150 * US)
+        assert depth() == len(client.queue) == 1
+        sched.crash()
+        system.run_for(1 * US)
+        assert depth() == len(client.queue) == 2
+        system.cpu.depart_account(account)
+        assert depth() == 0
+
+
 class TestDisabledSystemMetrics:
     def test_system_runs_unmetered(self):
         system = NemesisSystem(metrics=False)

@@ -141,6 +141,25 @@ class TestHistogram:
         assert histogram.bounds == LATENCY_BUCKETS_NS
 
 
+class TestCollect:
+    def test_collectors_run_before_each_snapshot(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("depth").child(queue="q")
+        queue = []
+        registry.collect(lambda: gauge.set(len(queue)))
+        queue.extend("ab")
+        assert registry.snapshot().get("depth", queue="q") == 2
+        queue.pop()
+        assert registry.snapshot().get("depth", queue="q") == 1
+
+    def test_disabled_registry_ignores_collectors(self):
+        registry = MetricsRegistry(enabled=False)
+        calls = []
+        registry.collect(lambda: calls.append(1))
+        assert registry.snapshot().names() == []
+        assert calls == []
+
+
 class TestSnapshotDiff:
     def make_registry(self):
         registry = MetricsRegistry()
