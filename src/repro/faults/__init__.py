@@ -12,8 +12,6 @@ from repro.faults.behavior import (
     BehaviorInjector,
     BehaviorPlan,
     BehaviorRule,
-    behavior_plan_from_config,
-    behavior_rule_from_config,
 )
 from repro.faults.corrupt import (
     BIT_FLIP,
@@ -24,8 +22,6 @@ from repro.faults.corrupt import (
     CorruptionInjector,
     CorruptPlan,
     CorruptRule,
-    corrupt_plan_from_config,
-    corrupt_rule_from_config,
     extent_corruption,
 )
 from repro.faults.crash import (
@@ -34,8 +30,6 @@ from repro.faults.crash import (
     CrashInjector,
     CrashPlan,
     CrashRule,
-    crash_plan_from_config,
-    crash_rule_from_config,
 )
 from repro.faults.plan import (
     BAD_BLOCK,
@@ -52,8 +46,6 @@ from repro.faults.plan import (
     FaultRule,
     FireRecorder,
     disk_storm,
-    plan_from_config,
-    rule_from_config,
 )
 
 __all__ = [
@@ -66,9 +58,5 @@ __all__ = [
     "CorruptDecision", "CorruptionInjector", "CorruptPlan",
     "CorruptRule", "CrashDecision", "CrashInjector", "CrashPlan",
     "CrashRule", "FaultDecision", "FaultInjector", "FaultPlan",
-    "FaultRule", "FireRecorder", "behavior_plan_from_config",
-    "behavior_rule_from_config", "corrupt_plan_from_config",
-    "corrupt_rule_from_config", "crash_plan_from_config",
-    "crash_rule_from_config", "disk_storm", "extent_corruption",
-    "plan_from_config", "rule_from_config",
+    "FaultRule", "FireRecorder", "disk_storm", "extent_corruption",
 ]

@@ -153,28 +153,6 @@ class BehaviorPlan:
                             observed=observed)
 
 
-#: BehaviorRule field names settable from declarative (mission) config.
-BEHAVIOR_CONFIG_KEYS = ("kind", "domain", "rate", "start_ns", "end_ns",
-                        "delay_ns", "fraction", "thrash_factor")
-
-
-def behavior_rule_from_config(config):
-    """Build a :class:`BehaviorRule` from a plain dict (the mission
-    plane's conversion point; unknown keys are a hard error)."""
-    unknown = sorted(set(config) - set(BEHAVIOR_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown behavior-rule config key(s): %s"
-                         % ", ".join(unknown))
-    return BehaviorRule(**config)
-
-
-def behavior_plan_from_config(seed, rule_configs):
-    """Build a :class:`BehaviorPlan` from a seed plus rule dicts,
-    preserving rule order (draws are keyed by rule index)."""
-    return BehaviorPlan(seed=seed, rules=tuple(
-        behavior_rule_from_config(config) for config in rule_configs))
-
-
 class BehaviorInjector:
     """The plan bound to a metrics registry, with per-domain
     consultation sequence numbers (so equal-rate draws at the same

@@ -147,39 +147,13 @@ class CorruptPlan:
         return decision
 
 
-#: CorruptRule field names settable from declarative (mission) config.
-CORRUPT_CONFIG_KEYS = ("kind", "rate", "lba_start", "lba_end",
-                       "start_ns", "end_ns", "blocks")
-
-
-def corrupt_rule_from_config(config):
-    """Build a :class:`CorruptRule` from a plain dict (the mission
-    plane's conversion point; unknown keys are a hard error)."""
-    unknown = sorted(set(config) - set(CORRUPT_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown corruption-rule config key(s): %s"
-                         % ", ".join(unknown))
-    config = dict(config)
-    if "blocks" in config:
-        config["blocks"] = tuple(config["blocks"])
-    return CorruptRule(**config)
-
-
-def corrupt_plan_from_config(seed, rule_configs):
-    """Build a :class:`CorruptPlan` from a seed plus rule dicts,
-    preserving rule order (draws are keyed by rule index)."""
-    return CorruptPlan(seed=seed, rules=tuple(
-        corrupt_rule_from_config(config) for config in rule_configs))
-
-
-def extent_corruption(seed, extent, kind=BIT_FLIP, rate=0.1,
-                      start_ns=0, end_ns=None):
+def extent_corruption(seed, extent, kind=BIT_FLIP, rate=0.1):
     """A :class:`CorruptPlan` scoped to one extent — the storm shape
     the integrity experiment lands on one pager's swap extent, leaving
     every other LBA on the disk untouched."""
     return CorruptPlan(seed=seed, rules=(
         CorruptRule(kind=kind, rate=rate, lba_start=extent.start,
-                    lba_end=extent.end, start_ns=start_ns, end_ns=end_ns),))
+                    lba_end=extent.end),))
 
 
 class CorruptionInjector:

@@ -119,28 +119,6 @@ class CrashPlan:
         return decision
 
 
-#: CrashRule field names settable from declarative (mission) config.
-CRASH_CONFIG_KEYS = ("component", "rate", "start_ns", "end_ns",
-                     "max_crashes")
-
-
-def crash_rule_from_config(config):
-    """Build a :class:`CrashRule` from a plain dict (the mission
-    plane's conversion point; unknown keys are a hard error)."""
-    unknown = sorted(set(config) - set(CRASH_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown crash-rule config key(s): %s"
-                         % ", ".join(unknown))
-    return CrashRule(**config)
-
-
-def crash_plan_from_config(seed, rule_configs):
-    """Build a :class:`CrashPlan` from a seed plus rule dicts,
-    preserving rule order (draws are keyed by rule index)."""
-    return CrashPlan(seed=seed, rules=tuple(
-        crash_rule_from_config(config) for config in rule_configs))
-
-
 class CrashInjector:
     """The plan bound to a metrics registry, with per-component
     heartbeat sequence numbers and per-rule kill caps."""

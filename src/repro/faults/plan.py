@@ -238,44 +238,13 @@ class FaultPlan:
         return CLEAN
 
 
-def disk_storm(seed, transient_rate, start_ns=0, end_ns=None):
+def disk_storm(seed, transient_rate):
     """A whole-disk transient storm: the 'this spindle is failing'
     plan the multi-volume health monitor reacts to. Every LBA on the
-    disk it is attached to fails at ``transient_rate`` per attempt
-    within the time window."""
+    disk it is attached to fails at ``transient_rate`` per attempt,
+    from the moment the plan is installed."""
     return FaultPlan(seed=seed, rules=(
-        FaultRule(kind=TRANSIENT, rate=transient_rate,
-                  start_ns=start_ns, end_ns=end_ns),))
-
-
-#: FaultRule field names settable from declarative (mission) config.
-RULE_CONFIG_KEYS = ("kind", "rate", "lba_start", "lba_end", "op",
-                    "start_ns", "end_ns", "extra_ns", "stuck_ns", "blocks")
-
-
-def rule_from_config(config):
-    """Build a :class:`FaultRule` from a plain dict.
-
-    The mission plane stores fault rules as data; this is the single
-    conversion point, so a config key the dataclass does not know is a
-    hard error rather than a silently-ignored knob.
-    """
-    unknown = sorted(set(config) - set(RULE_CONFIG_KEYS))
-    if unknown:
-        raise ValueError("unknown fault-rule config key(s): %s"
-                         % ", ".join(unknown))
-    config = dict(config)
-    if "blocks" in config:
-        config["blocks"] = tuple(config["blocks"])
-    return FaultRule(**config)
-
-
-def plan_from_config(seed, rule_configs):
-    """Build a :class:`FaultPlan` from a seed plus a list of rule
-    dicts (see :func:`rule_from_config`). Rule order is preserved —
-    draws are keyed by rule index, so order is part of the seed."""
-    return FaultPlan(seed=seed, rules=tuple(
-        rule_from_config(config) for config in rule_configs))
+        FaultRule(kind=TRANSIENT, rate=transient_rate),))
 
 
 class FaultInjector:

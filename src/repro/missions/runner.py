@@ -36,9 +36,9 @@ from hashlib import blake2b
 from repro.apps.compute_app import ComputeApplication
 from repro.apps.fsclient import FileSystemClient
 from repro.apps.pager_app import PagingApplication
-from repro.faults import (CrashInjector, behavior_plan_from_config,
-                          corrupt_plan_from_config, crash_plan_from_config,
-                          plan_from_config)
+from repro.faults import (BehaviorPlan, BehaviorRule, CorruptPlan,
+                          CorruptRule, CrashInjector, CrashPlan, CrashRule,
+                          FaultPlan, FaultRule)
 from repro.hw.mmu import AccessKind
 from repro.hw.platform import Machine
 from repro.kernel.threads import Touch, Wait
@@ -168,10 +168,10 @@ def report_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _disk_rule_config(rule, extent=None, now=0):
-    """Mission fault or corruption rule -> the config dict
-    :func:`repro.faults.rule_from_config` (or its corruption twin)
-    takes.
+def _disk_rule_kwargs(rule, extent=None, now=0):
+    """Mission fault or corruption rule -> the keyword arguments of a
+    :class:`~repro.faults.FaultRule` (or a
+    :class:`~repro.faults.CorruptRule`).
 
     ``extent`` scopes the rule to one swap extent's LBA range (or, for
     explicit ``blocks``, its first LBAs); ``now`` anchors
@@ -210,8 +210,8 @@ def _disk_rule_config(rule, extent=None, now=0):
     return config
 
 
-def _behavior_rule_config(rule):
-    """Mission behaviour rule -> behavior_rule_from_config dict."""
+def _behavior_rule(rule):
+    """Mission behaviour rule -> :class:`~repro.faults.BehaviorRule`."""
     config = {"kind": rule["kind"], "rate": rule["rate"]}
     if rule["domain"]:
         config["domain"] = rule["domain"]
@@ -225,11 +225,11 @@ def _behavior_rule_config(rule):
         config["fraction"] = rule["fraction"]
     if rule["kind"] == "alloc_thrash":
         config["thrash_factor"] = rule["thrash_factor"]
-    return config
+    return BehaviorRule(**config)
 
 
-def _crash_rule_config(rule):
-    """Mission crash rule -> crash_rule_from_config dict."""
+def _crash_rule(rule):
+    """Mission crash rule -> :class:`~repro.faults.CrashRule`."""
     config = {"rate": rule["rate"], "max_crashes": rule["max_crashes"]}
     if rule["component"]:
         config["component"] = rule["component"]
@@ -237,7 +237,7 @@ def _crash_rule_config(rule):
         config["start_ns"] = int(rule["start_sec"] * SEC)
     if rule["end_sec"] != -1.0:
         config["end_ns"] = int(rule["end_sec"] * SEC)
-    return config
+    return CrashRule(**config)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +310,9 @@ class MissionRunner:
             kwargs["integrity_threshold"] = integrity["detect_threshold"]
         behaviors = self.mission["behaviors"]
         if behaviors:
-            kwargs["behavior_plan"] = behavior_plan_from_config(
-                self.mission["mission"]["seed"],
-                [_behavior_rule_config(rule) for rule in behaviors])
+            kwargs["behavior_plan"] = BehaviorPlan(
+                seed=self.mission["mission"]["seed"],
+                rules=tuple(_behavior_rule(rule) for rule in behaviors))
         return NemesisSystem(**kwargs)
 
     def _build_domains(self, system, grabbed, run_name):
@@ -466,7 +466,8 @@ class MissionRunner:
         storm volume."""
         seed = self.mission["mission"]["seed"]
         now = system.sim.now
-        grouped = {}    # target key -> ([configs], [mission indices])
+        rule_cls = FaultRule if plane == "faults" else CorruptRule
+        grouped = {}    # target key -> ([rules], [mission indices])
         for index, rule in rules:
             target, extent = self._resolve_target(rule, system, handles)
             if plane == "corruptions" and target != "disk" \
@@ -484,8 +485,9 @@ class MissionRunner:
                     if slot.volume.index == target[1]:
                         extent = swap.extents[slot_index]
                         break
-            configs, indices = grouped.setdefault(target, ([], []))
-            configs.append(_disk_rule_config(rule, extent=extent, now=now))
+            plan_rules, indices = grouped.setdefault(target, ([], []))
+            plan_rules.append(rule_cls(**_disk_rule_kwargs(
+                rule, extent=extent, now=now)))
             indices.append(index)
             if target != "disk":
                 volume = system.usbs.volumes[target[1]]
@@ -496,14 +498,14 @@ class MissionRunner:
                     "%s rules for %r span both phases; one plan per "
                     "disk (split the scopes or align 'during')"
                     % (plane[:-1], target))
-        for target, (configs, indices) in grouped.items():
+        for target, (plan_rules, indices) in grouped.items():
             if plane == "faults":
-                plan = plan_from_config(seed, configs)
+                plan = FaultPlan(seed=seed, rules=tuple(plan_rules))
                 injector = (system.install_fault_plan(plan)
                             if target == "disk" else
                             system.usbs.install_fault_plan(target[1], plan))
             else:
-                plan = corrupt_plan_from_config(seed, configs)
+                plan = CorruptPlan(seed=seed, rules=tuple(plan_rules))
                 injector = (system.install_corruption_plan(plan)
                             if target == "disk" else
                             system.usbs.install_corruption_plan(target[1],
@@ -557,9 +559,9 @@ class MissionRunner:
         mission = self.mission
         supervision = mission["supervision"]
         injector = CrashInjector(
-            crash_plan_from_config(
-                mission["mission"]["seed"],
-                [_crash_rule_config(rule) for rule in run["crashes"]]),
+            CrashPlan(seed=mission["mission"]["seed"],
+                      rules=tuple(_crash_rule(rule)
+                                  for rule in run["crashes"])),
             metrics=system.metrics)
         policy = RestartPolicy(
             backoff_ns=supervision["backoff_ms"] * MS,

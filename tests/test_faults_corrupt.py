@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from repro.faults.corrupt import (BIT_FLIP, CORRUPT_KINDS,
                                   MISDIRECTED_WRITE, TORN_WRITE,
                                   CorruptionInjector, CorruptPlan,
-                                  CorruptRule, corrupt_plan_from_config,
-                                  extent_corruption)
+                                  CorruptRule, extent_corruption)
 from repro.hw.disk import READ, DiskRequest
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.units import MS
@@ -43,10 +42,6 @@ class TestRuleValidation:
     def test_bad_time_window_refused(self):
         with pytest.raises(ValueError):
             CorruptRule(kind=BIT_FLIP, start_ns=5, end_ns=5)
-
-    def test_config_round_trip_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
-            corrupt_plan_from_config(7, [{"kind": BIT_FLIP, "burst": 3}])
 
 
 class TestKindSemantics:

@@ -3,14 +3,12 @@
 Crash rules are the third fault plane (disk lies, domains misbehave,
 components *die*); these tests pin the pure-plan semantics the
 supervisor and the mission plane build on — scoping, first-rule-wins,
-keyed-BLAKE2b determinism, ``max_crashes`` budget enforcement, and
-the config conversion the mission validator feeds.
+keyed-BLAKE2b determinism and ``max_crashes`` budget enforcement.
 """
 
 import pytest
 
-from repro.faults import (CrashInjector, CrashPlan, CrashRule,
-                          crash_plan_from_config, crash_rule_from_config)
+from repro.faults import CrashInjector, CrashPlan, CrashRule
 from repro.sim.units import MS, SEC
 
 
@@ -90,26 +88,6 @@ class TestCrashPlan:
         fired = {}
         assert all(plan.decide("usd", tick * SEC, fired=fired)
                    for tick in range(10))
-
-
-class TestConfigConversion:
-    def test_round_trip_from_config(self):
-        plan = crash_plan_from_config(7, [
-            {"component": "pager:a", "rate": 0.5, "start_ns": 1 * SEC,
-             "end_ns": 2 * SEC, "max_crashes": 3},
-        ])
-        assert plan.seed == 7
-        assert plan.rules == (CrashRule(component="pager:a", rate=0.5,
-                                        start_ns=1 * SEC, end_ns=2 * SEC,
-                                        max_crashes=3),)
-
-    def test_unknown_key_is_a_hard_error(self):
-        with pytest.raises(ValueError, match="banana"):
-            crash_rule_from_config({"component": "usd", "banana": 1})
-
-    def test_bad_field_values_propagate(self):
-        with pytest.raises(ValueError, match="rate"):
-            crash_rule_from_config({"rate": 2.0})
 
 
 class TestCrashInjector:
