@@ -16,14 +16,12 @@ about *disk* isolation.
 from repro.hw.disk import DiskRequest, READ
 from repro.usd.iochannel import IOChannel
 from repro.apps.watch import BandwidthWatcher
-from repro.sim.units import SEC
 
 
 class FileSystemClient:
     """Pipelined sequential reader on its own partition."""
 
-    def __init__(self, system, name, qos, extent_blocks=262144, depth=16,
-                 watch_period=5 * SEC):
+    def __init__(self, system, name, qos, extent_blocks=262144, depth=16):
         self.system = system
         self.name = name
         self.extent = system.fs_partition.allocate_extent(extent_blocks)
@@ -33,7 +31,6 @@ class FileSystemClient:
         self.bytes_read = 0
         self.proc = system.sim.spawn(self._run(), name=name)
         self.watch = BandwidthWatcher(system.sim, lambda: self.bytes_read,
-                                      period=watch_period,
                                       name="%s-watch" % name)
 
     def _next_request(self, index):

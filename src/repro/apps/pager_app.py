@@ -27,7 +27,6 @@ Modes:
 from repro.hw.mmu import AccessKind
 from repro.kernel.threads import Compute, Touch
 from repro.apps.watch import BandwidthWatcher
-from repro.sim.units import SEC
 
 MB = 1024 * 1024
 KB = 1024
@@ -39,8 +38,7 @@ class PagingApplication:
     def __init__(self, system, name, qos, mode="read-loop",
                  stretch_bytes=4 * MB, driver_frames=2,
                  swap_bytes=16 * MB, guaranteed_frames=None,
-                 extra_frames=0, watch_period=5 * SEC,
-                 driver_kind="paged", store=None, placement=None,
+                 extra_frames=0, driver_kind="paged", store=None,
                  prefetch_depth=4, pagers=None):
         if mode not in ("read-loop", "write-loop"):
             raise ValueError("mode must be 'read-loop' or 'write-loop'")
@@ -76,13 +74,11 @@ class PagingApplication:
             # so mode only controls the loop body here.
             self.driver = self.app.stream_driver(
                 frames=driver_frames, swap_bytes=swap_bytes, qos=qos,
-                prefetch_depth=prefetch_depth, store=store,
-                placement=placement)
+                prefetch_depth=prefetch_depth, store=store)
         else:
             self.driver = self.app.paged_driver(
                 frames=driver_frames, swap_bytes=swap_bytes, qos=qos,
-                forgetful=(mode == "write-loop"), store=store,
-                placement=placement)
+                forgetful=(mode == "write-loop"), store=store)
         self.app.bind(self.stretch, self.driver)
         self._per_page_compute = (system.meter.model["per_byte_touch"]
                                   * self.page_size)
@@ -94,8 +90,7 @@ class PagingApplication:
             self._add_pager(dict(spec), qos)
         self.main_thread = self.app.spawn(self._main(), name="%s-main" % name)
         self.watch = BandwidthWatcher(
-            system.sim, lambda: self.bytes_processed,
-            period=watch_period, name="%s-watch" % name)
+            system.sim, lambda: self.bytes_processed, name="%s-watch" % name)
 
     # -- the multi-pager mix ---------------------------------------------
 

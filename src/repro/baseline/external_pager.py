@@ -41,11 +41,10 @@ class PagerRequest:
 class ExternalPager:
     """One shared pager: FIFO fault service with unscheduled disk IO."""
 
-    def __init__(self, sim, disk, per_fault_cpu_ns=50_000, trace=None):
+    def __init__(self, sim, disk, per_fault_cpu_ns=50_000):
         self.sim = sim
         self.disk = disk
         self.per_fault_cpu_ns = per_fault_cpu_ns
-        self.trace = trace
         self._queue = deque()
         self._wake = sim.event("pager.wake")
         self.faults_handled = 0
@@ -64,6 +63,8 @@ class ExternalPager:
 
     @property
     def queue_depth(self):
+        """Faults waiting for the pager, not counting the one in
+        service."""
         return len(self._queue)
 
     def _loop(self):
@@ -89,7 +90,4 @@ class ExternalPager:
             self.faults_handled += 1
             latency = self.sim.now - request.submitted_at
             self.latencies.setdefault(request.client, []).append(latency)
-            if self.trace is not None:
-                self.trace.record(request.submitted_at, "fault",
-                                  request.client, duration=latency)
             done.trigger(latency)

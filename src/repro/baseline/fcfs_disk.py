@@ -25,9 +25,12 @@ class FcfsClient:
 
     @property
     def qos(self):
+        """Always None: the FIFO promises nobody anything."""
         return None
 
     def submit(self, request: DiskRequest):
+        """Queue one transaction, tagged as this client's; returns its
+        completion event."""
         if request.client != self.name:
             request = DiskRequest(kind=request.kind, lba=request.lba,
                                   nblocks=request.nblocks, client=self.name,
@@ -57,6 +60,8 @@ class FcfsDiskService:
         return client
 
     def depart(self, client, discard=False):
+        """Remove a client; as for the USD, queued transactions raise
+        :class:`PendingWorkError` unless ``discard=True`` fails them."""
         pending = [entry for entry in self._queue
                    if entry[0].client == client.name]
         if pending and not discard:

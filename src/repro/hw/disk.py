@@ -83,10 +83,12 @@ class DiskGeometry:
 
     @property
     def blocks_per_cylinder(self):
+        """Blocks under all heads at one arm position."""
         return self.sectors_per_track * self.heads
 
     @property
     def cylinders(self):
+        """Cylinders the drive's blocks span (the last may be partial)."""
         return -(-self.total_blocks // self.blocks_per_cylinder)
 
     @property
@@ -137,10 +139,12 @@ class DiskRequest:
 
     @property
     def end(self):
+        """First LBA after the request's range."""
         return self.lba + self.nblocks
 
     @property
     def nbytes(self):
+        """Bytes the request transfers."""
         return self.nblocks * 512
 
 
@@ -170,10 +174,12 @@ class DiskResult:
 
     @property
     def ok(self):
+        """Whether the transfer completed (corrupt reads included)."""
         return self.status == STATUS_OK
 
     @property
     def end(self):
+        """Simulated time at which the transaction completed."""
         return self.start + self.duration
 
 
@@ -208,11 +214,10 @@ class Disk:
     (the USD serialises; the FCFS baseline queues).
     """
 
-    def __init__(self, sim, geometry=QUANTUM_VP3221, trace=None,
-                 injector=None, corruptor=None):
+    def __init__(self, sim, geometry=QUANTUM_VP3221, injector=None,
+                 corruptor=None):
         self.sim = sim
         self.geometry = geometry
-        self.trace = trace
         self.injector = injector   # optional repro.faults.FaultInjector
         self.corruptor = corruptor  # optional repro.faults.CorruptionInjector
         self.head_cylinder = 0
@@ -321,13 +326,8 @@ class Disk:
             self.stats_errors += 1
             self.head_cylinder = self.geometry.cylinder_of(req.lba)
         self.stats_busy_ns += duration
-        result = DiskResult(request=req, start=start, duration=duration,
-                            cached=cached, status=status, corrupt=corrupt)
-        if self.trace is not None:
-            self.trace.record(start, "disk", req.client or "?",
-                              duration=duration, kind=req.kind,
-                              lba=req.lba, cached=cached, status=status)
-        return result
+        return DiskResult(request=req, start=start, duration=duration,
+                          cached=cached, status=status, corrupt=corrupt)
 
     def _commit(self, req, cached):
         """Update head, rotation bookkeeping and cache segments."""

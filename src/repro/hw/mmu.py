@@ -13,6 +13,11 @@ Reads/writes that hit an armed FOR/FOW bit are handled *inside* the MMU
 (the PALcode DFault path of footnote 8): the bit is cleared,
 referenced/dirty is set, and the access proceeds — no fault is
 dispatched to the application.
+
+The segmentation regime's fast path lives here too: a
+:class:`SegTranslation` registry of base+limit :class:`SegExtent`
+entries, consulted before the TLB/page-table walk whenever it holds
+an extent.
 """
 
 from enum import Enum
@@ -68,6 +73,95 @@ class AccessResult:
                                          self.software_assist))
 
 
+class SegExtent:
+    """One contiguous mapping: ``limit`` pages at ``base_vpn``.
+
+    ``limit`` is the number of currently mapped pages from the base —
+    revocation shrinks it from the tail, faults grow it back. The
+    extent belongs to one stretch (``sid``) of one ``domain``.
+    """
+
+    __slots__ = ("sid", "domain", "base_vpn", "base_pfn", "limit")
+
+    def __init__(self, sid, domain, base_vpn, base_pfn, limit):
+        self.sid = sid
+        self.domain = domain
+        self.base_vpn = base_vpn
+        self.base_pfn = base_pfn
+        self.limit = limit
+
+    def covers(self, vpn):
+        """Whether ``vpn`` currently translates through this extent."""
+        return self.base_vpn <= vpn < self.base_vpn + self.limit
+
+    def pfn_of(self, vpn):
+        """Base+offset translation (caller checked :meth:`covers`)."""
+        return self.base_pfn + (vpn - self.base_vpn)
+
+    def __repr__(self):
+        return "<SegExtent sid=%d vpn=%#x+%d pfn=%d>" % (
+            self.sid, self.base_vpn, self.limit, self.base_pfn)
+
+
+class SegTranslation:
+    """The extent registry consulted by the MMU's access fast path.
+
+    Kept deliberately tiny: a dict keyed by stretch id plus hit
+    counters. Every MMU owns one, empty until a segmentation driver
+    (:mod:`repro.regimes.seg`) installs an extent; the MMU guards every
+    consultation with ``if extents:`` so an empty registry leaves the
+    per-page walk bit-identical.
+    """
+
+    def __init__(self):
+        self.extents = {}    # sid -> SegExtent
+        self.hits = 0        # accesses resolved without a PT walk
+        self.installs = 0
+        self.shrinks = 0
+
+    def resolve(self, vpn):
+        """Extent hit for ``vpn``: the covering extent, or None.
+
+        Linear in the number of extents — a handful per machine, the
+        analogue of a small segment-register file.
+        """
+        for extent in self.extents.values():
+            if extent.covers(vpn):
+                self.hits += 1
+                return extent
+        return None
+
+    def extent_of(self, sid):
+        """The live extent backing stretch ``sid``, or None."""
+        return self.extents.get(sid)
+
+    def register(self, extent):
+        """Install a new extent (one per stretch)."""
+        if extent.sid in self.extents:
+            raise ValueError("stretch %d already has an extent" % extent.sid)
+        self.extents[extent.sid] = extent
+        self.installs += 1
+
+    def remove(self, sid):
+        """Drop the extent for stretch ``sid`` (if any)."""
+        return self.extents.pop(sid, None)
+
+    def forget_page(self, vpn):
+        """System-teardown hook: drop ``vpn`` and everything after it.
+
+        Called by ``force_unmap_frame`` when a domain is killed and
+        its frames reclaimed wholesale. Truncating the extent at the
+        reclaimed page keeps the prefix translating; the following
+        pages' RamTab entries are cleaned by their own reclaim calls.
+        """
+        for sid, extent in list(self.extents.items()):
+            if extent.covers(vpn):
+                extent.limit = vpn - extent.base_vpn
+                if extent.limit <= 0:
+                    del self.extents[sid]
+                return
+
+
 class MMU:
     """Checks accesses against the page table and a protection domain.
 
@@ -77,16 +171,16 @@ class MMU:
     the paper: rights are consulted per access, translations are cached.
     """
 
-    def __init__(self, machine, pagetable, meter, tlb_capacity=64):
+    def __init__(self, machine, pagetable, meter):
         self.machine = machine
         self.pagetable = pagetable
         self.meter = meter
-        self.tlb = TLB(meter, capacity=tlb_capacity)
+        self.tlb = TLB(meter)
         self.assists = 0  # FOR/FOW software-assist count
-        # Optional segmentation fast path (repro.regimes): a registry of
-        # contiguous extents consulted before the TLB/PT walk. None (the
-        # default) keeps the classic per-page path untouched.
-        self.seg = None
+        # The segmentation fast path (repro.regimes): contiguous extents
+        # consulted before the TLB/PT walk. While it is empty the
+        # classic per-page path is untouched.
+        self.seg = SegTranslation()
         # machine.page_shift is a computed property; cache it so the
         # per-access VPN extraction is a single shift.
         self._page_shift = machine.page_shift
@@ -109,7 +203,7 @@ class MMU:
         """
         vpn = va >> self._page_shift
         seg = self.seg
-        if seg is not None and seg.extents:
+        if seg.extents:
             extent = seg.resolve(vpn)
             if extent is not None:
                 # Base+limit hit: translate with a bounds check and an

@@ -90,10 +90,12 @@ class LinearPageTable(BasePageTable):
         self._entries = {}
 
     def lookup(self, vpn):
+        """The PTE for ``vpn`` (or None), charging one indexed load."""
         self.meter.charge("pt_lookup")
         return self._entries.get(vpn)
 
     def peek(self, vpn):
+        """The PTE for ``vpn`` (or None), charging nothing."""
         return self._entries.get(vpn)
 
     def _insert(self, vpn, pte):
@@ -129,6 +131,8 @@ class GuardedPageTable(BasePageTable):
         return -(-self.vpn_bits // self.BITS_PER_LEVEL)
 
     def lookup(self, vpn):
+        """The PTE for ``vpn`` (or None), charging one ``gpt_level``
+        per radix level walked."""
         node = self._root
         shift = self.vpn_bits
         while True:
@@ -143,6 +147,7 @@ class GuardedPageTable(BasePageTable):
             node = child
 
     def peek(self, vpn):
+        """The PTE for ``vpn`` (or None): the same walk, uncharged."""
         node = self._root
         shift = self.vpn_bits
         while True:
@@ -205,4 +210,5 @@ class _GptNode:
 
     @property
     def is_leaf(self):
+        """Whether the node holds entries rather than child nodes."""
         return not self.children

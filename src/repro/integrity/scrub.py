@@ -11,9 +11,9 @@ repaired if transient, and declared lost honestly if not.
 
 The rate bound is twofold: a fixed ``interval_ns`` pause between blok
 reads (the scrub never saturates even an idle stream), and a
-``can_accept`` gate keeping ``reserve`` channel slots free so demand
-page-ins always go first — the scrub uses only the slack of the
-owner's *own* pipe.
+``can_accept`` gate keeping one channel slot free so demand page-ins
+always go first — the scrub uses only the slack of the owner's *own*
+pipe.
 
 :class:`VolumeEscalator` is the ladder's last rung: *unrepairable*
 losses are attributed to the volume that served them, and a volume
@@ -40,12 +40,10 @@ class Scrubber:
     picked up on the next.
     """
 
-    def __init__(self, sim, swap, interval_ns=20 * MS, reserve=1,
-                 spans=None):
+    def __init__(self, sim, swap, interval_ns=20 * MS, spans=None):
         self.sim = sim
         self.swap = swap
         self.interval_ns = interval_ns
-        self.reserve = reserve
         self.spans = spans if spans is not None else NULL_TRACER
         self.passes = 0
         self.scanned = 0
@@ -84,8 +82,8 @@ class Scrubber:
                 break
             if blok in self.swap.quarantined:
                 continue   # already declared; nothing left to check
-            while not self.swap.can_accept(blok, READ, self.reserve):
-                if self.swap.can_accept(blok, READ, 0):
+            while not self.swap.can_accept(blok, READ, reserve=1):
+                if self.swap.can_accept(blok, READ, reserve=0):
                     # Free slots exist but they are the demand reserve:
                     # slot events would fire instantly (the channel is
                     # not full), so back off in time instead.

@@ -316,7 +316,7 @@ class AtroposCpu:
         """Core index carrying ``name``'s contract."""
         return self.core_map[name]
 
-    def depart_account(self, account, discard=True):
+    def depart_account(self, account):
         """Release a domain's CPU contract (orderly or teardown); ends
         the client's refill loop and fails its queued bursts."""
         name = account.name
@@ -327,7 +327,7 @@ class AtroposCpu:
         self._g_domains.inc(-1, cpu="cpu%d" % core)
         client = account._client
         if not client.departed:
-            client.scheduler.depart(client, discard=discard)
+            client.scheduler.depart(client, discard=True)
 
     # -- serving -----------------------------------------------------------
 

@@ -126,9 +126,9 @@ class Domain:
         if not self._wake.triggered:
             self._wake.trigger(None)
 
-    def resume_thread(self, thread, value=None):
+    def resume_thread(self, thread):
         """Mark a faulted/blocked thread runnable (fault resolved)."""
-        thread.unblock(value)
+        thread.unblock()
 
     def kill(self, reason=""):
         """Destroy the domain: all threads die and no turn runs again.

@@ -25,14 +25,13 @@ from repro.obs.metrics import NULL_INSTRUMENT
 class EventChannel:
     """One endpoint pair: senders increment, the owning domain drains."""
 
-    def __init__(self, sim, name, meter=None, counter=None, depth_gauge=None):
-        """``counter``/``depth_gauge`` are bound metrics instruments
-        (sends counter, pending-depth gauge); omitted means unmetered."""
+    def __init__(self, sim, name, meter=None, counter=None):
+        """``counter`` is a bound metrics instrument counting sends;
+        omitted means unmetered."""
         self.sim = sim
         self.name = name
         self.meter = meter
         self._c_sent = counter if counter is not None else NULL_INSTRUMENT
-        self._g_pending = depth_gauge if depth_gauge is not None else NULL_INSTRUMENT
         self.sent = 0
         self.acked = 0
         self._payloads = deque()
@@ -60,7 +59,6 @@ class EventChannel:
         self.sent += 1
         self._c_sent.inc()
         self._payloads.append(payload)
-        self._g_pending.set(self.sent - self.acked)
         if self.domain is not None:
             self.domain._kick()
 
@@ -73,5 +71,4 @@ class EventChannel:
         drained = list(self._payloads)
         self._payloads.clear()
         self.acked += len(drained)
-        self._g_pending.set(self.sent - self.acked)
         return drained

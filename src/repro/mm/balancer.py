@@ -29,6 +29,12 @@ from typing import Dict, List
 from repro.mm.frames import FramesError
 from repro.sim.units import MS, SEC
 
+#: Faults/s below which a client is "content".
+MIN_PRESSURE = 2.0
+#: Rebalancing moves memory only when the needy client faults at least
+#: this many times harder than the donor.
+PRESSURE_RATIO = 4.0
+
 
 @dataclass
 class BalancerDecision:
@@ -44,17 +50,13 @@ class MemoryBalancer:
     """Periodically redistribute optimistic memory by fault pressure."""
 
     def __init__(self, system, period=500 * MS, grant_batch=8,
-                 min_pressure=2.0, headroom_frames=None,
-                 pressure_ratio=4.0, warm_start=None):
+                 headroom_frames=None, warm_start=None):
         """Args:
             system: the NemesisSystem to balance.
             period: sampling interval.
             grant_batch: frames granted to the neediest client per round.
-            min_pressure: faults/s below which a client is "content".
             headroom_frames: free frames always left untouched (default:
                 the allocator's system reserve).
-            pressure_ratio: rebalancing moves memory only when the needy
-                client faults at least this much harder than the donor.
             warm_start: a {client name: cumulative fault count} snapshot
                 (see :meth:`snapshot`) seeding the pressure baseline, so
                 a balancer restarted by the supervisor resumes with the
@@ -64,10 +66,8 @@ class MemoryBalancer:
         self.system = system
         self.period = period
         self.grant_batch = grant_batch
-        self.min_pressure = min_pressure
         self.headroom = (system.frames_allocator.system_reserve
                          if headroom_frames is None else headroom_frames)
-        self.pressure_ratio = pressure_ratio
         self.decisions: List[BalancerDecision] = []
         self._last_faults = dict(warm_start) if warm_start else {}
         self.errors = 0
@@ -104,7 +104,7 @@ class MemoryBalancer:
     # -- policy --------------------------------------------------------------
 
     def _neediest(self, pressures):
-        best, best_pressure = None, self.min_pressure
+        best, best_pressure = None, MIN_PRESSURE
         for client in self._clients():
             pressure = pressures.get(client.domain.name, 0.0)
             if (pressure > best_pressure
@@ -119,7 +119,7 @@ class MemoryBalancer:
             if client is exclude or client.optimistic <= 0:
                 continue
             pressure = pressures.get(client.domain.name, 0.0)
-            if pressure > self.min_pressure:
+            if pressure > MIN_PRESSURE:
                 continue
             if best is None or client.optimistic > best.optimistic:
                 best = client
@@ -168,8 +168,8 @@ class MemoryBalancer:
             return 0
         donor_pressure = pressures.get(donor.domain.name, 0.0)
         needy_pressure = pressures.get(needy.domain.name, 0.0)
-        if needy_pressure < self.pressure_ratio * max(
-                donor_pressure, self.min_pressure):
+        if needy_pressure < PRESSURE_RATIO * max(donor_pressure,
+                                                  MIN_PRESSURE):
             return 0
         want = min(self.grant_batch, donor.optimistic,
                    needy.quota - needy.allocated)

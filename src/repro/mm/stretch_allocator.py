@@ -23,13 +23,13 @@ class StretchAllocator:
     """First-fit allocator over the single address space window.
 
     Address zero is deliberately left unallocated (null-pointer
-    hygiene): allocation starts at ``base`` (default: one page).
+    hygiene): allocation starts at ``base``, one page up.
     """
 
-    def __init__(self, machine, translation, base=None):
+    def __init__(self, machine, translation):
         self.machine = machine
         self.translation = translation
-        self.base = machine.page_size if base is None else base
+        self.base = machine.page_size
         self.limit = machine.vas_bytes
         self._stretches = {}       # sid -> Stretch
         self._extents = []         # sorted list of (start, end) in use
@@ -70,11 +70,11 @@ class StretchAllocator:
             return False
         return all(e <= start or s >= end for s, e in self._extents)
 
-    def new(self, owner, nbytes, start=None, initial_rights=None):
+    def new(self, owner, nbytes, start=None):
         """Allocate a stretch for ``owner``.
 
-        The owner's protection domain receives read/write/meta rights by
-        default (the owner may narrow them later through the stretch
+        The owner's protection domain receives read/write/meta rights
+        (the owner may narrow them later through the stretch
         interface).
         """
         nbytes = self.machine.align_up(nbytes)
@@ -97,8 +97,7 @@ class StretchAllocator:
         self._extents.sort()
         self._stretches[sid] = stretch
         if owner is not None:
-            rights = initial_rights or Rights.parse("rwm")
-            owner.protdom.set_rights(sid, rights)
+            owner.protdom.set_rights(sid, Rights.parse("rwm"))
         return stretch
 
     def destroy(self, stretch):

@@ -28,6 +28,7 @@ flavours Table 1 measures: rewriting PTE attributes page-by-page (the
 bracketed numbers).
 """
 
+from repro.hw.mmu import SegExtent
 from repro.mm.rights import Right
 
 
@@ -48,10 +49,6 @@ class TranslationSystem:
         self.mmu = mmu
         self.ramtab = ramtab
         self.meter = meter
-        # Optional segmentation regime (repro.regimes.attach_seg): the
-        # extent registry shared with the MMU. None by default — the
-        # extent syscalls below refuse until a regime is attached.
-        self.seg = None
 
     # ------------------------------------------------------------------
     # High-level interface (system domain only)
@@ -74,7 +71,7 @@ class TranslationSystem:
         first; we enforce that rather than leak RamTab state. A live
         segment extent counts as mapped for the same reason.
         """
-        if self.seg is not None and self.seg.extent_of(stretch.sid) is not None:
+        if self.mmu.seg.extent_of(stretch.sid) is not None:
             raise MappingError(
                 "stretch %d still has a live extent" % stretch.sid)
         for vpn in range(stretch.base_vpn, stretch.base_vpn + stretch.npages):
@@ -98,11 +95,12 @@ class TranslationSystem:
         vpn = self.ramtab.mapped_vpn(pfn)
         if vpn is None:
             return
-        if self.seg is not None and self.seg.extents:
+        seg = self.mmu.seg
+        if seg.extents:
             # Truncate any extent covering the reclaimed page; the
             # pages after it are reclaimed by their own calls (kill
             # walks the domain's frames in ascending PFN order).
-            self.seg.forget_page(vpn)
+            seg.forget_page(vpn)
         pte = self.pagetable.peek(vpn)
         if pte is not None:
             pte.make_null()
@@ -181,8 +179,6 @@ class TranslationSystem:
         regimes ablation measures. ``pfns`` must be a contiguous
         ascending run; a grow must start at the current extent tail.
         """
-        if self.seg is None:
-            raise MappingError("no segmentation regime attached")
         if not pfns:
             raise MappingError("empty extent")
         for left, right in zip(pfns, pfns[1:]):
@@ -191,7 +187,8 @@ class TranslationSystem:
         self.meter.charge("pal_syscall")
         base_va = self.machine.page_base(stretch.base_vpn)
         self._pte_checked(caller, base_va)
-        extent = self.seg.extent_of(stretch.sid)
+        seg = self.mmu.seg
+        extent = seg.extent_of(stretch.sid)
         if extent is None:
             start = 0
             if len(pfns) > stretch.npages:
@@ -209,11 +206,8 @@ class TranslationSystem:
         for offset, pfn in enumerate(pfns):
             self.ramtab.set_mapped(pfn, stretch.base_vpn + start + offset)
         if extent is None:
-            from repro.regimes.seg import SegExtent
-
-            self.seg.register(SegExtent(stretch.sid, caller,
-                                        stretch.base_vpn, pfns[0],
-                                        len(pfns)))
+            seg.register(SegExtent(stretch.sid, caller, stretch.base_vpn,
+                                   pfns[0], len(pfns)))
         else:
             extent.limit += len(pfns)
         self.meter.charge("tlb_invalidate")
@@ -227,12 +221,11 @@ class TranslationSystem:
         ``stack.move_to_top``); the extent disappears when its limit
         reaches zero.
         """
-        if self.seg is None:
-            raise MappingError("no segmentation regime attached")
         self.meter.charge("pal_syscall")
         base_va = self.machine.page_base(stretch.base_vpn)
         self._pte_checked(caller, base_va)
-        extent = self.seg.extent_of(stretch.sid)
+        seg = self.mmu.seg
+        extent = seg.extent_of(stretch.sid)
         if extent is None:
             return []
         take = min(count, extent.limit)
@@ -245,15 +238,15 @@ class TranslationSystem:
             freed.append(extent.base_pfn + extent.limit)
             self.ramtab.set_unused(extent.base_pfn + extent.limit)
         self.meter.charge("pte_write")
-        self.seg.shrinks += 1
+        seg.shrinks += 1
         if extent.limit == 0:
-            self.seg.remove(stretch.sid)
+            seg.remove(stretch.sid)
         self.meter.charge("tlb_invalidate")
         return freed
 
     def unmap_extent(self, caller, stretch):
         """Tear down the stretch's whole extent; returns the freed PFNs."""
-        extent = None if self.seg is None else self.seg.extent_of(stretch.sid)
+        extent = self.mmu.seg.extent_of(stretch.sid)
         if extent is None:
             return []
         return self.shrink_extent(caller, stretch, extent.limit)

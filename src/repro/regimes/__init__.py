@@ -8,13 +8,14 @@ reproduction into an **ablation platform** — same workloads, same
 self-paging invariants, swappable memory regime:
 
 * :class:`~repro.regimes.seg.SegDriver` +
-  :class:`~repro.regimes.seg.SegTranslation` — a segmentation-style
+  :class:`~repro.hw.mmu.SegTranslation` — a segmentation-style
   regime (after Teabe et al., "segmentation is better than paging"):
   a whole stretch is backed by one physically contiguous frame extent
   and translated by a single base+limit entry instead of per-page
   mappings. First touch maps the entire extent in one validated
   syscall; revocation shrinks the extent from its tail through the
-  ordinary ``release_frames`` contract.
+  ordinary ``release_frames`` contract. Every MMU owns its extent
+  registry; ``SegExtent`` and ``SegTranslation`` are re-exported here.
 
 * :class:`~repro.regimes.registry.PagerRegistry` — the per-stretch
   pager registry (after Klimiankou's multi-pager environments): one
@@ -31,7 +32,8 @@ three-pager domain held accountable under revocation pressure), run
 with ``python -m repro.exp sweep NAME``.
 """
 
+from repro.hw.mmu import SegExtent, SegTranslation
 from repro.regimes.registry import PagerRegistry
-from repro.regimes.seg import SegDriver, SegExtent, SegTranslation
+from repro.regimes.seg import SegDriver
 
 __all__ = ["PagerRegistry", "SegDriver", "SegExtent", "SegTranslation"]

@@ -7,11 +7,12 @@ contiguous extent amortises the per-page syscall tax into a single
 validated operation. This module grounds that claim inside the
 self-paging architecture without bending any of its rules:
 
-* :class:`SegTranslation` is the hardware-side fast path — a registry
-  of ``(base_vpn, limit, base_pfn)`` extents consulted by the MMU
-  *before* the TLB/page-table walk. An extent hit translates with a
-  bounds check and an add, no PT walk, no per-page TLB state. When no
-  extents are registered the classic per-page walk is untouched
+* :class:`~repro.hw.mmu.SegTranslation` is the hardware-side fast
+  path — the MMU's own registry of ``(base_vpn, limit, base_pfn)``
+  extents, consulted *before* the TLB/page-table walk. An extent hit
+  translates with a bounds check and an add, no PT walk, no per-page
+  TLB state. Every MMU has one, empty until a seg driver installs an
+  extent, and while it is empty the classic per-page walk is untouched
   (bit-identical charges), which is what makes the regime an honest
   ablation.
 
@@ -35,109 +36,6 @@ from repro.mm.frames import FramesError
 from repro.mm.sdriver import FaultOutcome, StretchDriver
 
 
-class SegExtent:
-    """One contiguous mapping: ``limit`` pages at ``base_vpn``.
-
-    ``limit`` is the number of currently mapped pages from the base —
-    revocation shrinks it from the tail, faults grow it back. The
-    extent belongs to one stretch (``sid``) of one ``domain``.
-    """
-
-    __slots__ = ("sid", "domain", "base_vpn", "base_pfn", "limit")
-
-    def __init__(self, sid, domain, base_vpn, base_pfn, limit):
-        self.sid = sid
-        self.domain = domain
-        self.base_vpn = base_vpn
-        self.base_pfn = base_pfn
-        self.limit = limit
-
-    def covers(self, vpn):
-        """Whether ``vpn`` currently translates through this extent."""
-        return self.base_vpn <= vpn < self.base_vpn + self.limit
-
-    def pfn_of(self, vpn):
-        """Base+offset translation (caller checked :meth:`covers`)."""
-        return self.base_pfn + (vpn - self.base_vpn)
-
-    def __repr__(self):
-        return "<SegExtent sid=%d vpn=%#x+%d pfn=%d>" % (
-            self.sid, self.base_vpn, self.limit, self.base_pfn)
-
-
-class SegTranslation:
-    """The extent registry consulted by the MMU's access fast path.
-
-    Kept deliberately tiny: a dict keyed by stretch id plus hit
-    counters. The MMU guards every consultation with ``if extents:``
-    so an empty registry leaves the per-page walk bit-identical.
-    """
-
-    def __init__(self):
-        self.extents = {}    # sid -> SegExtent
-        self.hits = 0        # accesses resolved without a PT walk
-        self.installs = 0
-        self.shrinks = 0
-
-    def resolve(self, vpn):
-        """Extent hit for ``vpn``: the covering extent, or None.
-
-        Linear in the number of extents — a handful per machine, the
-        analogue of a small segment-register file.
-        """
-        for extent in self.extents.values():
-            if extent.covers(vpn):
-                self.hits += 1
-                return extent
-        return None
-
-    def extent_of(self, sid):
-        """The live extent backing stretch ``sid``, or None."""
-        return self.extents.get(sid)
-
-    def register(self, extent):
-        """Install a new extent (one per stretch)."""
-        if extent.sid in self.extents:
-            raise ValueError("stretch %d already has an extent" % extent.sid)
-        self.extents[extent.sid] = extent
-        self.installs += 1
-
-    def remove(self, sid):
-        """Drop the extent for stretch ``sid`` (if any)."""
-        return self.extents.pop(sid, None)
-
-    def forget_page(self, vpn):
-        """System-teardown hook: drop ``vpn`` and everything after it.
-
-        Called by ``force_unmap_frame`` when a domain is killed and
-        its frames reclaimed wholesale. Truncating the extent at the
-        reclaimed page keeps the prefix translating; the following
-        pages' RamTab entries are cleaned by their own reclaim calls.
-        """
-        for sid, extent in list(self.extents.items()):
-            if extent.covers(vpn):
-                extent.limit = vpn - extent.base_vpn
-                if extent.limit <= 0:
-                    del self.extents[sid]
-                return
-
-
-def attach_seg(translation):
-    """Attach (once) a :class:`SegTranslation` to a translation system.
-
-    Wires the registry into both halves of the fast path — the
-    MMU access check and the validated extent syscalls — and returns
-    it. Idempotent; systems that never call this keep ``seg = None``
-    and the classic per-page path stays provably inert.
-    """
-    seg = translation.seg
-    if seg is None:
-        seg = SegTranslation()
-        translation.seg = seg
-        translation.mmu.seg = seg
-    return seg
-
-
 class SegDriver(StretchDriver):
     """Backs each bound stretch with one contiguous frame extent.
 
@@ -153,10 +51,8 @@ class SegDriver(StretchDriver):
     kind = "seg"
 
     def __init__(self, name, domain, frames_client, translation):
-        if translation.seg is None:
-            attach_seg(translation)
         super().__init__(name, domain, frames_client, translation)
-        self.seg = translation.seg
+        self.seg = translation.mmu.seg
         self.extent_installs = 0
         self.extent_grows = 0
         self.extent_replaces = 0

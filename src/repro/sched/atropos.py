@@ -201,9 +201,6 @@ class AtroposClient:
         # behaviour that motivated the mechanism.
         if not self.lax_exhausted:
             self.lax_used = 0
-        elif not self.scheduler.strict_idle:
-            self.lax_exhausted = False
-            self.lax_used = 0
         self.scheduler._kick()
         return done
 
@@ -253,21 +250,16 @@ class AtroposScheduler:
     """
 
     def __init__(self, sim, name="atropos", trace=None, rollover=True,
-                 slack_enabled=True, strict_idle=True, metrics=None):
-        """``strict_idle=True`` is the paper's behaviour: a client whose
-        laxity expires is ignored "until its next periodic allocation"
-        even if work arrives in between. ``strict_idle=False`` is an
-        extension: newly arriving work clears the idle mark (the client
-        rejoins with whatever allocation it still has) — useful for
-        sporadic low-latency clients whose inter-request gaps exceed any
-        reasonable laxity."""
+                 metrics=None):
+        """A client whose laxity expires is idle-marked and ignored
+        "until its next periodic allocation" even if work arrives in
+        between (§6.7); only a client whose ``x`` allows it may then be
+        served on slack time."""
         self.sim = sim
         self.name = name
         self.trace = trace
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.rollover = rollover
-        self.slack_enabled = slack_enabled
-        self.strict_idle = strict_idle
         self.clients = []
         self._wake = sim.event("%s.wake" % name)
         self._next_index = 0
@@ -486,8 +478,6 @@ class AtroposScheduler:
     def _pick_slack(self):
         """A slack-time candidate: x=True with work but not runnable
         (allocation exhausted, or idle-marked for the period)."""
-        if not self.slack_enabled:
-            return None
         best = None
         for client in self.clients:
             if (client.queue and client.qos.extra and not client.departed

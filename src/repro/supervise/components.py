@@ -129,11 +129,10 @@ class BalancerComponent(Component):
     allocations stay as they were.
     """
 
-    def __init__(self, balancer, make, on_restart=None):
+    def __init__(self, balancer, make):
         super().__init__("balancer")
         self.balancer = balancer
         self.make = make
-        self.on_restart = on_restart
         self._snapshot = balancer.snapshot()
 
     def alive(self):
@@ -151,8 +150,6 @@ class BalancerComponent(Component):
     def restart(self):
         """Build a fresh balancer warm-started from the checkpoint."""
         self.balancer = self.make(dict(self._snapshot))
-        if self.on_restart is not None:
-            self.on_restart(self.balancer)
 
 
 class SchedulerComponent(Component):

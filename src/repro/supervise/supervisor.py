@@ -36,9 +36,8 @@ STATE_RETIRED = "retired"
 class SupervisionRecord:
     """Everything the supervisor knows about one component."""
 
-    def __init__(self, component, policy):
+    def __init__(self, component):
         self.component = component
-        self.policy = policy
         self.state = STATE_RUNNING
         self.restarts = 0
         self.escalations = 0
@@ -80,11 +79,10 @@ class Supervisor:
             "supervisor_recovery_ns",
             help="crash-to-restored recovery times, by component")
 
-    def supervise(self, component, policy=None):
-        """Start heartbeating ``component``; returns its record."""
-        record = SupervisionRecord(component,
-                                   policy if policy is not None
-                                   else self.policy)
+    def supervise(self, component):
+        """Start heartbeating ``component`` under the supervisor's
+        restart policy; returns its record."""
+        record = SupervisionRecord(component)
         self.records[component.component_id] = record
         record.proc = self.sim.spawn(
             self._watch(record),
@@ -127,7 +125,7 @@ class Supervisor:
                 component.checkpoint()
                 continue
             record.crashes.append(now)
-            if not record.policy.allows(record.restart_times, now):
+            if not self.policy.allows(record.restart_times, now):
                 # Budget exhausted: degrade if the component can limp
                 # (a volume evacuates through the drain machinery),
                 # retire it outright otherwise. Either way the rest of
@@ -146,8 +144,7 @@ class Supervisor:
                 return
             span = self.spans.start("supervise.restart", client=cid,
                                     reason=reason)
-            yield sim.timeout(record.policy.backoff(record.restart_times,
-                                                    now))
+            yield sim.timeout(self.policy.backoff(record.restart_times, now))
             component.restart()
             recovered = sim.now
             record.restarts += 1

@@ -41,7 +41,7 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.spans import NULL_TRACER
 from repro.sim.units import MS
 from repro.usbs.multiswap import MultiVolumeSwap
-from repro.usbs.volume import DEFAULT_SWAP_SPAN, DEGRADED, RETIRED, Volume
+from repro.usbs.volume import DEGRADED, RETIRED, Volume
 from repro.usd.sfs import ExtentError
 from repro.usd.usd import TransactionFailed, BlokLostError
 
@@ -50,6 +50,16 @@ STRIPED = "striped"
 PINNED = "pinned"
 
 _PLACEMENTS = (STRIPED, PINNED)
+
+#: The health monitor: every ``POLL_NS`` it compares each volume's
+#: fault exposure over the trailing ``WINDOW_NS``; a rise of
+#: ``EXPOSURE_THRESHOLD`` marks the volume failing.
+EXPOSURE_THRESHOLD = 15
+POLL_NS = 100 * MS
+WINDOW_NS = 500 * MS
+
+#: Concurrent blok transfers per drained slot (see ``_drain``).
+DRAIN_WIDTH = 8
 
 
 class AdmissionError(ValueError):
@@ -74,11 +84,8 @@ class VolumeManager:
     """Owns the volumes; places, admits, monitors and re-places."""
 
     def __init__(self, sim, machine, nvolumes, geometry=QUANTUM_VP3221,
-                 placement=STRIPED, seed=0, swap_span=DEFAULT_SWAP_SPAN,
-                 metrics=None, spans=None, trace=None, rollover=True,
-                 slack_enabled=True, retry=None, monitor=True,
-                 exposure_threshold=15, poll_ns=100 * MS,
-                 window_ns=500 * MS, drain_width=8):
+                 placement=STRIPED, seed=0, metrics=None, spans=None,
+                 trace=None, rollover=True, monitor=True):
         if nvolumes < 1:
             raise ValueError("need at least one volume")
         if placement not in _PLACEMENTS:
@@ -90,17 +97,12 @@ class VolumeManager:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.spans = spans if spans is not None else NULL_TRACER
         self.volumes = [Volume(sim, index, machine, geometry=geometry,
-                               swap_span=swap_span, metrics=self.metrics,
-                               trace=trace, rollover=rollover,
-                               slack_enabled=slack_enabled, retry=retry)
+                               metrics=self.metrics, trace=trace,
+                               rollover=rollover)
                         for index in range(nvolumes)]
         self.backings = []
         self.stranded = []     # (backing name, slot index) pairs
         self.drains_done = 0
-        self.exposure_threshold = exposure_threshold
-        self.poll_ns = poll_ns
-        self.window_ns = window_ns
-        self.drain_width = drain_width
         self._c_extents = self.metrics.counter(
             "usbs_extents_total",
             help="swap-file shards placed, by volume")
@@ -137,8 +139,7 @@ class VolumeManager:
             return [healthy[placement_draw(self.seed, name, len(healthy))]]
         return healthy
 
-    def create_backing(self, name, nbytes, qos, placement=None, depth=2,
-                       spare_bloks=4):
+    def create_backing(self, name, nbytes, qos, placement=None, depth=2):
         """Place and admit one backing; returns a
         :class:`~repro.usbs.multiswap.MultiVolumeSwap`.
 
@@ -161,7 +162,7 @@ class VolumeManager:
             for volume in targets:
                 shard = volume.sfs.create_swapfile(
                     "%s@%s" % (name, volume.name), per_shard_bytes, qos,
-                    depth=depth, spare_bloks=spare_bloks)
+                    depth=depth)
                 shards.append((volume, shard))
         except (ValueError, ExtentError) as exc:
             for volume, shard in shards:
@@ -194,26 +195,26 @@ class VolumeManager:
     def _monitor_loop(self):
         """Watch each volume's fault exposure; degrade on a burst.
 
-        Exposure deltas over a trailing window of ``window_ns`` are
-        compared against ``exposure_threshold``; crossing it marks the
+        Exposure deltas over a trailing window of ``WINDOW_NS`` are
+        compared against ``EXPOSURE_THRESHOLD``; crossing it marks the
         volume failing and kicks off the drain. Pure function of
         simulated time and the (deterministic) injection counters, so
         detection time is seed-stable.
         """
         history = {volume.index: [] for volume in self.volumes}
         while True:
-            yield self.sim.timeout(self.poll_ns)
+            yield self.sim.timeout(POLL_NS)
             now = self.sim.now
             for volume in self.volumes:
                 if not volume.healthy:
                     continue
                 samples = history[volume.index]
                 samples.append((now, volume.fault_exposure()))
-                while samples and samples[0][0] < now - self.window_ns:
+                while samples and samples[0][0] < now - WINDOW_NS:
                     samples.pop(0)
                 if (len(samples) >= 2
                         and samples[-1][1] - samples[0][1]
-                        >= self.exposure_threshold):
+                        >= EXPOSURE_THRESHOLD):
                     self.degrade(volume)
 
     # -- the degraded-volume path --------------------------------------------
@@ -281,7 +282,7 @@ class VolumeManager:
         client rewrites mid-drain is skipped (the fresh copy
         supersedes).
 
-        The copy is pipelined across ``drain_width`` workers striding
+        The copy is pipelined across ``DRAIN_WIDTH`` workers striding
         the blok range. One blok at a time would leave the owner's
         streams workless between bloks — an Atropos client whose
         laxity expires on an empty queue is idle-marked until its next
@@ -295,7 +296,7 @@ class VolumeManager:
         span = self.spans.start("usbs.drain", client=swap.name,
                                 volume=failing.name)
         stats = {"migrated": 0, "lost": 0}
-        width = max(1, min(self.drain_width, old_shard.channel.depth - 1,
+        width = max(1, min(DRAIN_WIDTH, old_shard.channel.depth - 1,
                            old_shard.nbloks))
         waits = []
         for offset in range(width):

@@ -19,11 +19,14 @@ from repro.hw.disk import DiskRequest, READ, WRITE
 from repro.usd.iochannel import IOChannel
 from repro.usd.sfs import ExtentError
 
+#: Transactions each file's IO channel keeps in flight.
+FILE_DEPTH = 4
+
 
 class File:
     """A named extent plus a QoS-negotiated USD stream."""
 
-    def __init__(self, sim, name, extent, usd_client, machine, depth=4):
+    def __init__(self, sim, name, extent, usd_client, machine):
         self.sim = sim
         self.name = name
         self.extent = extent
@@ -32,7 +35,7 @@ class File:
         self.nbloks = extent.nblocks // self.blok_blocks
         if self.nbloks == 0:
             raise ExtentError("file smaller than one page")
-        self.channel = IOChannel(sim, usd_client, depth=depth)
+        self.channel = IOChannel(sim, usd_client, depth=FILE_DEPTH)
         self.reads = 0
         self.writes = 0
 
@@ -71,15 +74,14 @@ class FileSystem:
         self.partition = partition
         self._files = {}
 
-    def create(self, name, nbytes, qos, depth=4):
+    def create(self, name, nbytes, qos):
         """Allocate a file and negotiate its USD guarantee."""
         if name in self._files:
             raise ExtentError("file %r already exists" % name)
         nbytes = self.machine.align_up(nbytes)
         extent = self.partition.allocate_extent(nbytes // 512)
         usd_client = self.usd.admit("file:%s" % name, qos)
-        handle = File(self.sim, name, extent, usd_client, self.machine,
-                      depth=depth)
+        handle = File(self.sim, name, extent, usd_client, self.machine)
         self._files[name] = handle
         return handle
 

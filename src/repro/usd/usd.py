@@ -181,8 +181,8 @@ class USDClient:
 class USD:
     """The user-safe disk: admission + the Atropos-scheduled drive."""
 
-    def __init__(self, sim, disk, trace=None, rollover=True,
-                 slack_enabled=True, metrics=None, retry=None, name="usd"):
+    def __init__(self, sim, disk, trace=None, rollover=True, metrics=None,
+                 retry=None, name="usd"):
         self.sim = sim
         self.disk = disk
         self.trace = trace
@@ -194,7 +194,6 @@ class USD:
         # sched label (e.g. ``usd-vol2``).
         self.sched = AtroposScheduler(sim, name=name, trace=trace,
                                       rollover=rollover,
-                                      slack_enabled=slack_enabled,
                                       metrics=self.metrics)
         self.clients = []
 

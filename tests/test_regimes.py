@@ -18,7 +18,8 @@ from repro.hw.platform import Machine
 from repro.kernel.threads import Touch
 from repro.missions import validate_mission
 from repro.missions.validate import MissionError
-from repro.regimes import PagerRegistry, SegDriver, SegExtent
+from repro.regimes import (PagerRegistry, SegDriver, SegExtent,
+                           SegTranslation)
 from repro.sched.atropos import QoSSpec
 from repro.sim.units import MS, SEC
 from repro.system import NemesisSystem
@@ -192,17 +193,18 @@ class TestSegDriver:
         extent = driver.seg.extent_of(stretch.sid)
         assert extent is not None and extent.limit == stretch.npages
 
-    def test_seg_plane_attaches_once_and_only_on_use(self):
+    def test_seg_drivers_share_the_mmus_registry(self):
         system = NemesisSystem()
-        assert system.translation.seg is None
-        assert system.translation.mmu.seg is None
-        app = system.new_app("seg", guaranteed_frames=8)
-        driver = app.seg_driver()
-        assert system.translation.seg is not None
-        assert system.translation.mmu.seg is system.translation.seg
-        assert isinstance(driver, SegDriver)
-        # Second driver shares the same registry.
-        assert app.seg_driver().seg is driver.seg
+        registry = system.mmu.seg
+        assert isinstance(registry, SegTranslation)
+        assert not registry.extents
+        first = system.new_app("seg-a", guaranteed_frames=8)
+        second = system.new_app("seg-b", guaranteed_frames=8)
+        drivers = [first.seg_driver(), first.seg_driver(),
+                   second.seg_driver()]
+        assert all(isinstance(driver, SegDriver) for driver in drivers)
+        assert all(driver.seg is registry for driver in drivers)
+        assert system.mmu.seg is registry
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,7 @@ class TestLaxity:
         assert max(e.duration for e in laxes) <= 10 * MS
 
     def test_strict_idle_ignores_late_work(self, sim):
-        sched = AtroposScheduler(sim, strict_idle=True)
+        sched = AtroposScheduler(sim)
         client = sched.admit("a", QoSSpec(period_ns=100 * MS,
                                           slice_ns=50 * MS,
                                           laxity_ns=5 * MS))
@@ -316,25 +316,10 @@ class TestLaxity:
         sim.run(until=150 * MS)
         assert done["event"].triggered
 
-    def test_lenient_idle_serves_late_work(self, sim):
-        sched = AtroposScheduler(sim, strict_idle=False)
-        client = sched.admit("a", QoSSpec(period_ns=100 * MS,
-                                          slice_ns=50 * MS,
-                                          laxity_ns=5 * MS))
-        done = {}
-
-        def late():
-            yield sim.timeout(20 * MS)
-            done["event"] = client.submit(work(sim, 1 * MS))
-
-        sim.spawn(late())
-        sim.run(until=30 * MS)
-        assert done["event"].triggered
-
 
 class TestSlack:
     def test_extra_client_uses_slack_uncharged(self, sim):
-        sched = AtroposScheduler(sim, slack_enabled=True)
+        sched = AtroposScheduler(sim)
         client = sched.admit("x", QoSSpec(period_ns=100 * MS,
                                           slice_ns=5 * MS, extra=True))
         for _ in range(10):
@@ -346,7 +331,7 @@ class TestSlack:
         assert client.served_ns <= 5 * MS + 2 * MS
 
     def test_non_extra_client_gets_no_slack(self, sim):
-        sched = AtroposScheduler(sim, slack_enabled=True)
+        sched = AtroposScheduler(sim)
         client = sched.admit("x", QoSSpec(period_ns=100 * MS,
                                           slice_ns=5 * MS, extra=False))
         for _ in range(10):
@@ -354,15 +339,6 @@ class TestSlack:
         sim.run(until=99 * MS)
         assert client.slack_items == 0
         assert client.served_items <= 3  # 5 ms slice + one overrun
-
-    def test_slack_disabled_globally(self, sim):
-        sched = AtroposScheduler(sim, slack_enabled=False)
-        client = sched.admit("x", QoSSpec(period_ns=100 * MS,
-                                          slice_ns=5 * MS, extra=True))
-        for _ in range(10):
-            client.submit(work(sim, 2 * MS))
-        sim.run(until=99 * MS)
-        assert client.slack_items == 0
 
 
 class TestDepart:
