@@ -49,4 +49,5 @@ docs-lint:
 	$(PYTHON) tools/docstring_lint.py --threshold 90 src/repro/sim \
 	    src/repro/exp src/repro/usd src/repro/usbs src/repro/missions \
 	    src/repro/supervise src/repro/integrity src/repro/place \
-	    src/repro/regimes src/repro/sched src/repro/kernel src/repro/faults
+	    src/repro/regimes src/repro/sched src/repro/kernel src/repro/faults \
+	    src/repro/apps src/repro/hw src/repro/baseline
