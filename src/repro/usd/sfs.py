@@ -28,6 +28,10 @@ from repro.hw.disk import DiskRequest, READ, WRITE
 from repro.obs.metrics import NULL_REGISTRY
 from repro.usd.iochannel import IOChannel
 
+#: (start, nblocks) of a disk's swap partition: the system disk's and
+#: every USBS volume's.
+SWAP_SPAN = (262_144, 2_097_152)
+
 
 class ExtentError(Exception):
     """Partition space exhausted or invalid request."""
