@@ -3,8 +3,8 @@
 The SMP experiments need a domain whose *only* resource is its CPU
 contract — no paging, no disk — so that any change in its progress can
 be attributed to the CPU plane alone. :class:`ComputeApplication` loops
-fixed-size compute bursts through the domain's CPU account and counts
-``chunk_bytes`` of progress per completed burst; its ``bytes_processed``
+1 ms compute bursts through the domain's CPU account and counts
+64 KB of progress per completed burst; its ``bytes_processed``
 plugs into the mission runner's bandwidth measurement exactly like the
 paging and file-system workloads.
 
@@ -19,35 +19,30 @@ crosstalk mission, with topology and placement unchanged.
 from repro.kernel.threads import Compute, Wait
 from repro.sim.units import MS
 
-#: Default compute burst length (one scheduler quantum).
-DEFAULT_CHUNK_NS = 1 * MS
+#: Compute burst length (one scheduler quantum).
+CHUNK_NS = 1 * MS
 
-#: Default progress credited per completed burst.
-DEFAULT_CHUNK_BYTES = 64 * 1024
+#: Progress credited per completed burst.
+CHUNK_BYTES = 64 * 1024
 
 
 class ComputeApplication:
-    """CPU-bound domain: loop ``chunk_ns`` bursts, count progress.
+    """CPU-bound domain: loop :data:`CHUNK_NS` bursts, count progress.
 
     ``qos`` is the domain's CPU contract (placed onto a core by the SMP
-    platform); ``guaranteed_frames`` is the tiny memory contract the
+    platform); a two-frame guarantee is the tiny memory contract the
     domain needs to exist at all. ``bytes_processed`` and
     ``chunks_completed`` grow monotonically while the domain runs.
     """
 
-    def __init__(self, system, name, qos, chunk_ns=DEFAULT_CHUNK_NS,
-                 chunk_bytes=DEFAULT_CHUNK_BYTES, guaranteed_frames=2,
-                 active=True):
+    def __init__(self, system, name, qos, active=True):
         self.system = system
         self.name = name
         self.qos = qos
-        self.chunk_ns = chunk_ns
-        self.chunk_bytes = chunk_bytes
         self.active = active
         self.bytes_processed = 0
         self.chunks_completed = 0
-        self.app = system.new_app(name, guaranteed_frames=guaranteed_frames,
-                                  cpu_qos=qos)
+        self.app = system.new_app(name, guaranteed_frames=2, cpu_qos=qos)
         self.main_thread = self.app.spawn(self._main(),
                                           name="%s-main" % name)
 
@@ -57,6 +52,6 @@ class ComputeApplication:
             yield Wait(self.system.sim.event("%s.parked" % self.name))
             return
         while True:
-            yield Compute(self.chunk_ns, label="chunk")
-            self.bytes_processed += self.chunk_bytes
+            yield Compute(CHUNK_NS, label="chunk")
+            self.bytes_processed += CHUNK_BYTES
             self.chunks_completed += 1

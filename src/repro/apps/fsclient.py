@@ -6,25 +6,28 @@ This client performs significant pipelining of its transaction requests
 so is expected to perform well. For homogeneity, its transactions are
 each the same size as a page."
 
-The client streams sequential page-sized reads from an extent on the
-file-system partition, keeping up to ``depth`` transactions outstanding
-through an IO channel. It is modelled as a simulator process: its CPU
-cost is negligible against 125 ms/250 ms of disk time, and Figure 9 is
-about *disk* isolation.
+The client streams sequential page-sized reads from a 128 MB extent on
+the file-system partition, keeping up to ``depth`` transactions
+outstanding through an IO channel. It is modelled as a simulator
+process: its CPU cost is negligible against 125 ms/250 ms of disk time,
+and Figure 9 is about *disk* isolation.
 """
 
 from repro.hw.disk import DiskRequest, READ
 from repro.usd.iochannel import IOChannel
 from repro.apps.watch import BandwidthWatcher
 
+#: The extent the client reads, in 512-byte blocks (128 MB).
+EXTENT_BLOCKS = 262144
+
 
 class FileSystemClient:
     """Pipelined sequential reader on its own partition."""
 
-    def __init__(self, system, name, qos, extent_blocks=262144, depth=16):
+    def __init__(self, system, name, qos, depth=16):
         self.system = system
         self.name = name
-        self.extent = system.fs_partition.allocate_extent(extent_blocks)
+        self.extent = system.fs_partition.allocate_extent(EXTENT_BLOCKS)
         self.usd_client = system.usd.admit(name, qos)
         self.channel = IOChannel(system.sim, self.usd_client, depth=depth)
         self.page_blocks = system.machine.page_size // 512

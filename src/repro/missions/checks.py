@@ -97,13 +97,6 @@ def _needs_integrity(check, ctx):
     return None
 
 
-def _needs_scrub(check, ctx):
-    if not (ctx.integrity["enabled"] and ctx.integrity["scrub"]):
-        return "check", ("%s needs integrity.enabled and integrity.scrub"
-                         % check["check"])
-    return None
-
-
 def _needs_run_topology(key, count):
     """A rule: the check's ``run`` has ``topology[key] >= count``."""
     def rule(check, ctx):
@@ -582,7 +575,7 @@ CHECKS = {
             _f("floor", "float", min=0.0, max=10.0),
         ),
         evaluate=_eval_retention, domains=_MEASURED,
-        needs=(_needs_scrub,)),
+        needs=(_needs_integrity,)),
     # The SMP family: ``crosstalk_contained`` — in ``run`` (an SMP run,
     # ``topology.cpus >= 2``), each bystander in ``domains`` was placed
     # on a different core from ``hog`` (the report's ``core_of``) AND

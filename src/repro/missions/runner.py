@@ -13,11 +13,11 @@ PASS/FAIL report:
   optional drain wait) and collects a full result payload;
 * every ``[[expect]]`` invariant is evaluated against the payloads
   into a per-invariant verdict;
-* the **injection audit** checks that every declared fault/behaviour
-  rule with ``must_fire`` was actually observed firing (via the
-  injectors' ``observed`` sets — draws are pure, so observation is
-  free); a mission whose storm never happened FAILS as *vacuous*
-  rather than passing by accident;
+* the **injection audit** checks that every declared fault,
+  corruption, crash and behaviour rule was actually observed firing
+  (via the injectors' ``observed`` sets — draws are pure, so
+  observation is free); a mission whose storm never happened FAILS as
+  *vacuous* rather than passing by accident;
 * with ``[determinism] repeat`` set, that run is executed a second
   time and the two payloads compared byte-for-byte as canonical JSON.
 
@@ -85,10 +85,11 @@ def _hostile_main(system, stretch, name):
     yield Wait(system.sim.event("%s.idle" % name))   # never triggered
 
 
-def _sampler(system, clients, min_alloc, period):
-    """Record the minimum frames each sampled client ever held."""
+def _sampler(system, clients, min_alloc):
+    """Record the minimum frames each sampled client ever held, every
+    25 ms."""
     while True:
-        yield system.sim.timeout(period)
+        yield system.sim.timeout(25 * MS)
         for name, client in clients.items():
             min_alloc[name] = min(min_alloc[name], client.allocated)
 
@@ -175,13 +176,11 @@ def _disk_rule_kwargs(rule, extent=None, now=0):
 
     ``extent`` scopes the rule to one swap extent's LBA range (or, for
     explicit ``blocks``, its first LBAs); ``now`` anchors
-    ``during='measure'`` windows. Corruption rules have no op/latency
-    knobs: they only ever affect what a read *returns*, never whether
+    ``during='measure'`` windows. Corruption rules have no latency
+    knob: they only ever affect what a read *returns*, never whether
     or when it completes.
     """
     config = {"kind": rule["kind"], "rate": rule["rate"]}
-    if rule.get("op"):
-        config["op"] = rule["op"]
     if extent is not None:
         if rule["blocks"]:
             config["blocks"] = tuple(extent.start + index
@@ -189,48 +188,25 @@ def _disk_rule_kwargs(rule, extent=None, now=0):
         else:
             config["lba_start"] = extent.start
             config["lba_end"] = extent.end
-    else:
-        if rule["lba_start"]:
-            config["lba_start"] = rule["lba_start"]
-        if rule["lba_end"] != -1:
-            config["lba_end"] = rule["lba_end"]
     if rule["during"] == "measure":
         config["start_ns"] = now
         if rule["duration_sec"] != -1.0:
             config["end_ns"] = now + int(rule["duration_sec"] * SEC)
-    else:
-        if rule["start_sec"]:
-            config["start_ns"] = int(rule["start_sec"] * SEC)
-        if rule["end_sec"] != -1.0:
-            config["end_ns"] = int(rule["end_sec"] * SEC)
+    elif rule["start_sec"]:
+        config["start_ns"] = int(rule["start_sec"] * SEC)
     if rule["kind"] == "latency":
         config["extra_ns"] = rule["extra_ms"] * MS
-    if rule["kind"] == "stuck":
-        config["stuck_ns"] = rule["stuck_ms"] * MS
     return config
 
 
 def _behavior_rule(rule):
     """Mission behaviour rule -> :class:`~repro.faults.BehaviorRule`."""
-    config = {"kind": rule["kind"], "rate": rule["rate"]}
-    if rule["domain"]:
-        config["domain"] = rule["domain"]
-    if rule["start_sec"]:
-        config["start_ns"] = int(rule["start_sec"] * SEC)
-    if rule["end_sec"] != -1.0:
-        config["end_ns"] = int(rule["end_sec"] * SEC)
-    if rule["kind"] == "revoke_slow":
-        config["delay_ns"] = rule["delay_ms"] * MS
-    if rule["kind"] == "revoke_partial":
-        config["fraction"] = rule["fraction"]
-    if rule["kind"] == "alloc_thrash":
-        config["thrash_factor"] = rule["thrash_factor"]
-    return BehaviorRule(**config)
+    return BehaviorRule(kind=rule["kind"], domain=rule["domain"] or None)
 
 
 def _crash_rule(rule):
     """Mission crash rule -> :class:`~repro.faults.CrashRule`."""
-    config = {"rate": rule["rate"], "max_crashes": rule["max_crashes"]}
+    config = {"max_crashes": rule["max_crashes"]}
     if rule["component"]:
         config["component"] = rule["component"]
     if rule["start_sec"]:
@@ -282,11 +258,7 @@ class MissionRunner:
     # -- system + workload construction --------------------------------------
 
     def _build_system(self, topology):
-        kwargs = {
-            "backing": topology["backing"],
-            "revocation_timeout": topology["revocation_timeout_ms"] * MS,
-            "max_revocation_rounds": topology["max_revocation_rounds"],
-        }
+        kwargs = {"revocation_timeout": topology["revocation_timeout_ms"] * MS}
         if topology["machine_mb"]:
             kwargs["machine"] = Machine(
                 name="pressure-rig",
@@ -294,8 +266,7 @@ class MissionRunner:
         if topology["volumes"]:
             kwargs["volumes"] = topology["volumes"]
             kwargs["volume_placement"] = topology["volume_placement"]
-            kwargs["volume_seed"] = (topology["volume_seed"]
-                                     or self.mission["mission"]["seed"])
+            kwargs["volume_seed"] = self.mission["mission"]["seed"]
         if topology["cpus"]:
             # The Atropos CPU: per-core run queues with seed-stable
             # domain placement (see repro.place).
@@ -305,7 +276,6 @@ class MissionRunner:
         integrity = self.mission["integrity"]
         if integrity["enabled"]:
             kwargs["integrity"] = True
-            kwargs["integrity_scrub"] = integrity["scrub"]
             kwargs["scrub_interval"] = integrity["scrub_interval_ms"] * MS
             kwargs["integrity_threshold"] = integrity["detect_threshold"]
         behaviors = self.mission["behaviors"]
@@ -325,9 +295,7 @@ class MissionRunner:
         for domain in self._domains:
             kind, name = domain["kind"], domain["name"]
             if kind == "fsclient":
-                handles[name] = FileSystemClient(
-                    system, name, _qos(domain), depth=domain["depth"],
-                    extent_blocks=domain["extent_blocks"])
+                handles[name] = FileSystemClient(system, name, _qos(domain))
             elif kind == "pager":
                 handles[name] = self._build_pager(system, domain)
             elif kind == "compute":
@@ -338,21 +306,15 @@ class MissionRunner:
                     QoSSpec(period_ns=domain["period_ms"] * MS,
                             slice_ns=int(round(domain["slice_ms"] * MS)),
                             extra=domain["extra"], laxity_ns=0),
-                    chunk_ns=int(round(domain["chunk_ms"] * MS)),
-                    chunk_bytes=domain["chunk_kb"] * KB,
-                    guaranteed_frames=domain["guaranteed_frames"],
                     active=active)
             elif kind == "claimant":
                 handles[name] = system.new_app(
                     name, guaranteed_frames=domain["guaranteed_frames"],
                     extra_frames=domain["extra_frames"])
             else:   # hostile_hog — map every remaining free frame
-                extra = domain["extra_frames"]
-                if extra == -1:
-                    extra = system.machine.total_frames
                 app = system.new_app(
-                    name, guaranteed_frames=domain["guaranteed_frames"],
-                    extra_frames=extra)
+                    name, guaranteed_frames=8,
+                    extra_frames=system.machine.total_frames)
                 hog = app.physical_driver()
                 hog.provide_frames(system.machine.total_frames)
                 grabbed[name] = hog.free_frames
@@ -537,8 +499,7 @@ class MissionRunner:
                 return MemoryBalancer(s, warm_start=snapshot)
 
             components["balancer"] = BalancerComponent(balancer, remake)
-        if run["topology"]["backing"] == "usd":
-            components["usd"] = SchedulerComponent(system.usd.sched, "usd")
+        components["usd"] = SchedulerComponent(system.usd.sched, "usd")
         if system.usbs is not None:
             for volume in system.usbs.volumes:
                 components["volume:%d" % volume.index] = VolumeComponent(
@@ -565,10 +526,7 @@ class MissionRunner:
             metrics=system.metrics)
         policy = RestartPolicy(
             backoff_ns=supervision["backoff_ms"] * MS,
-            backoff_factor=supervision["backoff_factor"],
-            max_backoff_ns=supervision["max_backoff_ms"] * MS,
-            max_restarts=supervision["max_restarts"],
-            window_ns=int(supervision["window_s"] * SEC))
+            max_backoff_ns=supervision["max_backoff_ms"] * MS)
         supervisor = Supervisor(
             system.sim, heartbeat_ns=supervision["heartbeat_ms"] * MS,
             policy=policy, injector=injector, metrics=system.metrics,
@@ -645,9 +603,8 @@ class MissionRunner:
                            for name in driver["domains"]}
                 for name, client in clients.items():
                     min_alloc[name] = client.allocated
-                system.sim.spawn(
-                    _sampler(system, clients, min_alloc,
-                             driver["period_ms"] * MS), name="sampler")
+                system.sim.spawn(_sampler(system, clients, min_alloc),
+                                 name="sampler")
             elif driver["kind"] == "claim":
                 system.sim.spawn(
                     _claim(system, handles[driver["client"]].frames,
@@ -941,10 +898,10 @@ class MissionRunner:
     # -- audit ----------------------------------------------------------------
 
     def _audit(self, fired_by_run):
-        """Every must_fire rule observed firing, or the mission is
-        vacuous. Fault/corruption rules must fire in the run declaring
-        them; behaviour rules (installed on every run) must fire in
-        each. ``counts`` carries per-rule fire counts for all four
+        """Every declared rule observed firing, or the mission is
+        vacuous. Fault/corruption/crash rules must fire in the run
+        declaring them; behaviour rules (installed on every run) must
+        fire in each. ``counts`` carries per-rule fire counts for all four
         planes (string-keyed by mission rule index, for canonical
         JSON) — the sweep aggregates them across the corpus."""
         mission = self.mission
@@ -964,27 +921,25 @@ class MissionRunner:
                 fired_out[run["name"]]["crashes"] = sorted(
                     fired["crashes"])
             for index, rule in enumerate(run["faults"]):
-                if rule["must_fire"] and index not in fired["faults"]:
+                if index not in fired["faults"]:
                     vacuous.append(
                         "%s: faults[%d] (%s on %s) never fired"
                         % (run["name"], index, rule["kind"],
                            rule["scope"]))
             for index, rule in enumerate(run["corruptions"]):
-                if rule["must_fire"] \
-                        and index not in fired.get("corruptions", ()):
+                if index not in fired.get("corruptions", ()):
                     vacuous.append(
                         "%s: corruptions[%d] (%s on %s) never fired"
                         % (run["name"], index, rule["kind"],
                            rule["scope"]))
             for index, rule in enumerate(mission["behaviors"]):
-                if rule["must_fire"] and index not in fired["behaviors"]:
+                if index not in fired["behaviors"]:
                     vacuous.append(
                         "%s: behaviors[%d] (%s on %s) never fired"
                         % (run["name"], index, rule["kind"],
                            rule["domain"] or "<any>"))
             for index, rule in enumerate(run["crashes"]):
-                if rule["must_fire"] \
-                        and index not in fired.get("crashes", ()):
+                if index not in fired.get("crashes", ()):
                     vacuous.append(
                         "%s: crashes[%d] (on %s) never fired"
                         % (run["name"], index,

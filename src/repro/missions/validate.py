@@ -432,9 +432,6 @@ class MissionValidator:
                 raise MissionError("%s.domain" % path,
                                    "names no workload domain: %r"
                                    % rule["domain"])
-            if rule["end_sec"] != -1.0 and rule["end_sec"] <= rule["start_sec"]:
-                raise MissionError("%s.end_sec" % path,
-                                   "must be after start_sec (or -1)")
             rules.append(rule)
         return rules
 
@@ -561,32 +558,18 @@ class MissionValidator:
                 raise MissionError("%s.blocks" % path,
                                    "blocks count needs an extent scope")
             if rule["during"] == "measure":
-                if rule["start_sec"] != 0.0 or rule["end_sec"] != -1.0:
+                if rule["start_sec"] != 0.0:
                     raise MissionError("%s.during" % path,
                                        "during='measure' computes its own "
-                                       "window; leave start_sec/end_sec "
-                                       "unset")
+                                       "window; leave start_sec unset")
                 if rule["duration_sec"] != -1.0 \
                         and rule["duration_sec"] <= 0.0:
                     raise MissionError("%s.duration_sec" % path,
                                        "must be > 0 (or -1 for 'to end of "
                                        "run')")
-            else:
-                if rule["duration_sec"] != -1.0:
-                    raise MissionError("%s.duration_sec" % path,
-                                       "only valid with during='measure'")
-                if rule["end_sec"] != -1.0 \
-                        and rule["end_sec"] <= rule["start_sec"]:
-                    raise MissionError("%s.end_sec" % path,
-                                       "must be after start_sec (or -1)")
-            if rule["lba_end"] != -1 and rule["lba_end"] <= rule["lba_start"]:
-                raise MissionError("%s.lba_end" % path,
-                                   "must be after lba_start (or -1)")
-            if scope != "disk" and (rule["lba_start"] or rule["lba_end"]
-                                    != -1):
-                raise MissionError("%s.lba_start" % path,
-                                   "explicit LBA bounds are only for "
-                                   "scope='disk'")
+            elif rule["duration_sec"] != -1.0:
+                raise MissionError("%s.duration_sec" % path,
+                                   "only valid with during='measure'")
             earlier = during_by_target.setdefault(target, rule["during"])
             if earlier != rule["during"]:
                 raise MissionError("%s.during" % path,

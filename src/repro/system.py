@@ -285,8 +285,8 @@ class NemesisSystem:
                  max_revocation_rounds=3, metrics=True, behavior_plan=None,
                  fault_timeout=30 * SEC, volumes=0,
                  volume_placement="striped", volume_seed=1999,
-                 integrity=False, integrity_scrub=True,
-                 scrub_interval=20 * MS, integrity_threshold=4,
+                 integrity=False, scrub_interval=20 * MS,
+                 integrity_threshold=4,
                  cpus=0, placement="ffd", place_seed=1999):
         # Observability first: every subsystem below takes the registry.
         self.metrics = MetricsRegistry(enabled=metrics)
@@ -314,7 +314,6 @@ class NemesisSystem:
         # backing is wrapped in a verifying ChecksummedSwap, each with
         # a background scrubber on the owner's own streams.
         self.integrity_enabled = bool(integrity)
-        self.integrity_scrub = bool(integrity_scrub)
         self.scrub_interval = scrub_interval
         self.integrity_threshold = integrity_threshold
         self.scrubbers = {}         # backing name -> Scrubber
@@ -433,10 +432,9 @@ class NemesisSystem:
         Otherwise the backing goes behind a
         :class:`~repro.integrity.swap.ChecksummedSwap` (verify on every
         swap-in, quarantine/repair on mismatch, escalate multi-volume
-        unrepairable losses to the PR-5 drain ladder) and, when
-        scrubbing is on,
-        gets a background :class:`~repro.integrity.scrub.Scrubber`
-        walking its bloks through the owner's own streams.
+        unrepairable losses to the volume drain ladder) and gets a
+        background :class:`~repro.integrity.scrub.Scrubber` walking its
+        bloks through the owner's own streams.
         """
         if not self.integrity_enabled:
             return swap
@@ -451,12 +449,11 @@ class NemesisSystem:
         wrapped = ChecksummedSwap(self.sim, swap, metrics=self.metrics,
                                   on_lost=on_lost)
         self.integrity_swaps.append(wrapped)
-        if self.integrity_scrub:
-            scrubber = Scrubber(self.sim, wrapped,
-                                interval_ns=self.scrub_interval,
-                                spans=self.spans)
-            scrubber.start()
-            self.scrubbers[swap.name] = scrubber
+        scrubber = Scrubber(self.sim, wrapped,
+                            interval_ns=self.scrub_interval,
+                            spans=self.spans)
+        scrubber.start()
+        self.scrubbers[swap.name] = scrubber
         return wrapped
 
     def install_behavior_plan(self, plan):

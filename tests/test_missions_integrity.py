@@ -29,8 +29,7 @@ def raw_corruption_mission(name="tiny-rot", seed=17):
                     "smoke": False},
         "topology": {"machine_mb": 4},
         "workload": {"domains": [pager("tiny-a"), pager("tiny-b")]},
-        "integrity": {"enabled": True, "scrub": True,
-                      "scrub_interval_ms": 5},
+        "integrity": {"enabled": True, "scrub_interval_ms": 5},
         "phases": {"settle_sec": 1.0, "measure_sec": 0.5},
         "runs": [
             {"name": "baseline"},

@@ -55,7 +55,6 @@ class TestSchema:
         hog = [d for d in normalised["workload"]["domains"]
                if d["name"] == "hog"][0]
         assert hog["extra"] is True
-        assert hog["chunk_ms"] == 1.0
         assert hog["active_runs"] == ["storm"]
 
 
