@@ -157,7 +157,7 @@ class MemoryBalancer:
         take = min(self.grant_batch, max(spare, 0),
                    needy.quota - needy.allocated)
         if take > 0:
-            pfns = needy.allocator._alloc_sync(needy, take, "main", None)
+            pfns = needy.allocator._alloc_sync(needy, take, None)
             if pfns:
                 self._notify_granted(needy, pfns)
                 granted[needy.domain.name] = len(pfns)

@@ -116,7 +116,7 @@ class TestBalancerRobustness:
         thrasher(system, "t", QOS_A)
         balancer = MemoryBalancer(system, period=500 * MS, grant_batch=16)
 
-        def refuse(client, count, region, pfns):
+        def refuse(client, count, pfns):
             raise FramesError("allocator refused (induced)")
 
         system.frames_allocator._alloc_sync = refuse
