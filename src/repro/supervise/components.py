@@ -37,9 +37,6 @@ class Component:
     def checkpoint(self):
         """Record whatever a future restart would warm-start from."""
 
-    def refresh(self):
-        """Poll asynchronous state transitions (e.g. a drain ending)."""
-
     def status(self):
         """An externally-driven state ("retired"/"degraded"), or None
         when the supervisor's own record is authoritative."""

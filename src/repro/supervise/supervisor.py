@@ -103,7 +103,6 @@ class Supervisor:
         while True:
             yield sim.timeout(self.heartbeat_ns)
             if record.state == STATE_DEGRADED:
-                component.refresh()
                 if component.status() == STATE_RETIRED:
                     record.state = STATE_RETIRED
                     return
