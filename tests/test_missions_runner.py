@@ -110,6 +110,31 @@ class TestDeterminism:
             json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
+class TestInjectionAudit:
+    """Every declared rule is audited: one that never fires fails the
+    mission as vacuous, on the storage-fault and behaviour planes as
+    on the crash and corruption planes."""
+
+    def test_never_firing_fault_rule_fails_as_vacuous(self):
+        mission = tiny_mission()
+        mission["runs"][1]["faults"][0]["rate"] = 0.0
+        report = run_mission(validate_mission(mission))
+        assert not report["passed"]
+        assert report["audit"]["vacuous"] == [
+            "storm: faults[0] (transient on extent:tiny-a) never fired"]
+
+    def test_never_firing_behavior_rule_fails_as_vacuous(self):
+        """Neither pager holds an optimistic frame, so the allocator
+        never revokes ``tiny-b`` and its lie is never told."""
+        mission = tiny_mission()
+        mission["behaviors"] = [{"kind": "revoke_lie", "domain": "tiny-b"}]
+        report = run_mission(validate_mission(mission))
+        assert not report["passed"]
+        assert report["audit"]["vacuous"] == [
+            "%s: behaviors[0] (revoke_lie on tiny-b) never fired" % run
+            for run in ("baseline", "storm")]
+
+
 class TestReadmeExample:
     def test_readme_walkthrough_mission_passes(self):
         """The "Writing a mission" TOML in the README is a real,
