@@ -37,6 +37,7 @@ class _BitmapChunk:
         raise AssertionError("free_count disagrees with bitmap")
 
     def free(self, index):
+        """Return blok ``index`` to this chunk; raises if not allocated."""
         offset = index - self.base
         if not 0 <= offset < self.nbits:
             raise ValueError("blok %d outside chunk" % index)
@@ -47,6 +48,7 @@ class _BitmapChunk:
         self.free_count += 1
 
     def is_allocated(self, index):
+        """Whether blok ``index`` (inside this chunk) is in use."""
         offset = index - self.base
         return bool((self.bits >> offset) & 1)
 
@@ -78,6 +80,7 @@ class BlokMap:
 
     @property
     def free(self):
+        """Number of free bloks."""
         return self.total_bloks - self.allocated
 
     def alloc(self):
@@ -103,6 +106,7 @@ class BlokMap:
             self._hint = chunk
 
     def is_allocated(self, index):
+        """Whether blok ``index`` is in use."""
         return self._chunk_of(index).is_allocated(index)
 
     def _chunk_of(self, index):

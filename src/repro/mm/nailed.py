@@ -31,6 +31,7 @@ class NailedDriver(StretchDriver):
         return stretch
 
     def try_fast(self, fault):
+        """Always FAILURE: a nailed stretch never faults legitimately."""
         # A nailed stretch cannot legitimately fault: the frames are
         # there. Any fault is a bug (or a protection violation) and there
         # is no safety net.
@@ -38,6 +39,7 @@ class NailedDriver(StretchDriver):
         return FaultOutcome.FAILURE
 
     def handle_slow(self, fault):
+        """Fails: a nailed stretch has nothing to fetch."""
         return False
         yield  # pragma: no cover  (keeps this a generator)
 

@@ -30,6 +30,7 @@ class PhysicalDriver(StretchDriver):
     # -- fault handling ------------------------------------------------------
 
     def try_fast(self, fault):
+        """Map a pool frame at the faulting page; RETRY if none is free."""
         if not self._check_fault(fault):
             return FaultOutcome.FAILURE
         pfn = self._pop_free()

@@ -13,6 +13,8 @@ from enum import Enum
 
 
 class FrameState(Enum):
+    """What a frame's owner is doing with it."""
+
     UNUSED = "unused"   # owned but not mapped anywhere
     MAPPED = "mapped"   # mapped at some virtual address
     NAILED = "nailed"   # mapped and immune to unmapping (wired)
@@ -67,18 +69,23 @@ class RamTab:
     # -- queries -------------------------------------------------------------
 
     def owner(self, pfn):
+        """The owning domain of ``pfn`` (None: free)."""
         return self._rec(pfn).owner
 
     def state(self, pfn):
+        """The :class:`FrameState` of ``pfn``."""
         return self._rec(pfn).state
 
     def width(self, pfn):
+        """The logical frame width (log2 bytes) ``pfn`` is part of."""
         return self._rec(pfn).width
 
     def mapped_vpn(self, pfn):
+        """The virtual page ``pfn`` is mapped at (None: unmapped)."""
         return self._rec(pfn).vpn
 
     def is_unused(self, pfn):
+        """Whether ``pfn`` is owned but mapped nowhere."""
         return self._rec(pfn).state is FrameState.UNUSED
 
     def owned_by(self, domain):
@@ -98,11 +105,13 @@ class RamTab:
             raise ValueError("PFN %d is already %s" % (pfn, rec.state.value))
 
     def set_mapped(self, pfn, vpn, nailed=False):
+        """Record ``pfn`` as mapped (or nailed) at ``vpn``."""
         rec = self._rec(pfn)
         rec.state = FrameState.NAILED if nailed else FrameState.MAPPED
         rec.vpn = vpn
 
     def set_unused(self, pfn):
+        """Record ``pfn`` as unmapped; raises if it is nailed."""
         rec = self._rec(pfn)
         if rec.state is FrameState.NAILED:
             raise ValueError("PFN %d is nailed; un-nail before unmapping" % pfn)

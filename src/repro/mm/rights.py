@@ -13,6 +13,8 @@ from repro.hw.mmu import AccessKind
 
 
 class Right(Enum):
+    """One access right a protection domain may hold on a stretch."""
+
     READ = "r"
     WRITE = "w"
     EXECUTE = "x"
@@ -62,6 +64,7 @@ class Rights:
 
     @classmethod
     def none(cls):
+        """The empty rights set."""
         return _NONE
 
     def permits(self, access):

@@ -28,6 +28,8 @@ from repro.obs.metrics import NULL_REGISTRY
 
 
 class FaultOutcome(Enum):
+    """A fast-path verdict: resolved, retry the access, or failed."""
+
     SUCCESS = "success"
     RETRY = "retry"
     FAILURE = "failure"
@@ -98,6 +100,7 @@ class StretchDriver:
 
     @property
     def free_frames(self):
+        """Frames in the driver's pool, mapped nowhere."""
         return len(self._free)
 
     def note_io_failure(self):

@@ -186,6 +186,7 @@ class StreamPagedDriver(PagedDriver):
     # -- fault-path hooks ---------------------------------------------------
 
     def try_fast(self, fault):
+        """The paged fast path; a page being prefetched retries."""
         vpn = self.machine.page_of(fault.va)
         self._note_fault(vpn)
         if vpn in self._prefetching:
@@ -199,6 +200,7 @@ class StreamPagedDriver(PagedDriver):
         return outcome
 
     def handle_slow(self, fault):
+        """The paged slow path, meeting or cancelling a prefetch."""
         vpn = self.machine.page_of(fault.va)
         if vpn in self._prefetch_queue:
             # Demand caught up with a guess the worker has not issued

@@ -36,10 +36,12 @@ class Stretch:
 
     @property
     def npages(self):
+        """Length in pages."""
         return self.nbytes // self.machine.page_size
 
     @property
     def base_vpn(self):
+        """The first page's virtual page number."""
         return self.machine.page_of(self.base)
 
     def __contains__(self, va):

@@ -38,6 +38,7 @@ class StretchAllocator:
     # -- lookup ------------------------------------------------------------
 
     def by_sid(self, sid):
+        """The stretch with identifier ``sid``."""
         return self._stretches[sid]
 
     def stretch_containing(self, va):
