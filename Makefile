@@ -50,4 +50,5 @@ docs-lint:
 	    src/repro/exp src/repro/usd src/repro/usbs src/repro/missions \
 	    src/repro/supervise src/repro/integrity src/repro/place \
 	    src/repro/regimes src/repro/sched src/repro/kernel src/repro/faults \
-	    src/repro/apps src/repro/hw src/repro/baseline src/repro/mm
+	    src/repro/apps src/repro/hw src/repro/baseline src/repro/mm \
+	    src/repro/obs

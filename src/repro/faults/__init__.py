@@ -1,4 +1,13 @@
-"""Deterministic fault injection for the paging/storage stack."""
+"""Deterministic fault injection for the paging/storage stack.
+
+Four planes, one object each: a :class:`FaultPlan` (storage faults,
+the disk's ``injector``), a :class:`CorruptPlan` (silent corruption,
+the disk's ``corruptor``), a :class:`CrashPlan` (component crashes,
+the supervisor's ``injector``) and a :class:`BehaviorPlan` (hostile
+domains, the frames allocator's ``behavior``). Each is a :class:`Plan`:
+the rules, the consultation point, and the fire evidence and
+injection count the mission audit reads.
+"""
 
 from repro.faults.behavior import (
     ALLOC_THRASH,
@@ -9,7 +18,6 @@ from repro.faults.behavior import (
     REVOKE_SILENT,
     REVOKE_SLOW,
     BehaviorDecision,
-    BehaviorInjector,
     BehaviorPlan,
     BehaviorRule,
 )
@@ -19,7 +27,6 @@ from repro.faults.corrupt import (
     MISDIRECTED_WRITE,
     TORN_WRITE,
     CorruptDecision,
-    CorruptionInjector,
     CorruptPlan,
     CorruptRule,
     extent_corruption,
@@ -27,7 +34,6 @@ from repro.faults.corrupt import (
 from repro.faults.crash import (
     CRASH,
     CrashDecision,
-    CrashInjector,
     CrashPlan,
     CrashRule,
 )
@@ -41,10 +47,10 @@ from repro.faults.plan import (
     STUCK,
     TRANSIENT,
     FaultDecision,
-    FaultInjector,
     FaultPlan,
     FaultRule,
     FireRecorder,
+    Plan,
     disk_storm,
 )
 
@@ -54,9 +60,8 @@ __all__ = [
     "REVOKE_KINDS", "REVOKE_LIE", "REVOKE_PARTIAL", "REVOKE_SILENT",
     "REVOKE_SLOW", "STATUS_IO_ERROR", "STATUS_OK", "STATUS_TIMEOUT",
     "STUCK", "TORN_WRITE", "TRANSIENT", "BehaviorDecision",
-    "BehaviorInjector", "BehaviorPlan", "BehaviorRule",
-    "CorruptDecision", "CorruptionInjector", "CorruptPlan",
-    "CorruptRule", "CrashDecision", "CrashInjector", "CrashPlan",
-    "CrashRule", "FaultDecision", "FaultInjector", "FaultPlan",
-    "FaultRule", "FireRecorder", "disk_storm", "extent_corruption",
+    "BehaviorPlan", "BehaviorRule", "CorruptDecision", "CorruptPlan",
+    "CorruptRule", "CrashDecision", "CrashPlan", "CrashRule",
+    "FaultDecision", "FaultPlan", "FaultRule", "FireRecorder", "Plan",
+    "disk_storm", "extent_corruption",
 ]

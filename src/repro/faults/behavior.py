@@ -37,10 +37,9 @@ Injection points: the MMEntry revocation channel
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.faults.plan import FireRecorder, _draw
-from repro.obs.metrics import NULL_REGISTRY
+from repro.faults.plan import Plan, _check_rate_and_window, _draw, _in_window
 from repro.sim.units import MS
 
 # Behaviour kinds.
@@ -52,10 +51,6 @@ ALLOC_THRASH = "alloc_thrash"
 
 REVOKE_KINDS = (REVOKE_SLOW, REVOKE_SILENT, REVOKE_PARTIAL, REVOKE_LIE)
 BEHAVIOR_KINDS = REVOKE_KINDS + (ALLOC_THRASH,)
-
-# Consultation scopes (which injection point is asking).
-_SCOPE_REVOKE = "revoke"
-_SCOPE_ALLOC = "alloc"
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,7 @@ class BehaviorRule:
         if self.kind not in BEHAVIOR_KINDS:
             raise ValueError("kind must be one of %s, got %r"
                              % (BEHAVIOR_KINDS, self.kind))
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
+        _check_rate_and_window(self)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1], got %r"
                              % self.fraction)
@@ -94,9 +88,7 @@ class BehaviorRule:
         """Rule scope check: domain and time window."""
         if self.domain is not None and domain != self.domain:
             return False
-        if now < self.start_ns:
-            return False
-        return self.end_ns is None or now < self.end_ns
+        return _in_window(self, now)
 
 
 @dataclass(frozen=True)
@@ -109,93 +101,50 @@ class BehaviorDecision:
     thrash_factor: int = 1
 
 
-@dataclass(frozen=True)
-class BehaviorPlan:
-    """A seed plus an ordered tuple of rules; first firing rule wins."""
+class BehaviorPlan(Plan):
+    """The behaviour plane, installed as the frames allocator's
+    ``behavior``: first firing rule wins, with consultation sequence
+    numbers per (injection point, domain) so equal-rate draws at the
+    same simulated time stay independent — and reproducible."""
 
-    seed: int
-    rules: Tuple[BehaviorRule, ...] = ()
+    METRIC = ("behavior_faults_injected_total",
+              "domain-behaviour faults injected, by kind and domain")
 
-    def _decide(self, scope, domain, now, seq, observed=None):
+    def __init__(self, seed, rules=()):
+        super().__init__(seed, rules)
+        self._seq = {}      # (injection point kinds, domain) -> count
+
+    def _decide(self, kinds, domain, now):
+        """Consult the rules of ``kinds`` for one injection point."""
+        key = (kinds, domain)
+        seq = self._seq[key] = self._seq.get(key, 0) + 1
         decision = None
         for index, rule in enumerate(self.rules):
-            if scope == _SCOPE_REVOKE and rule.kind not in REVOKE_KINDS:
-                continue
-            if scope == _SCOPE_ALLOC and rule.kind != ALLOC_THRASH:
-                continue
-            if not rule.applies(domain, now):
+            if rule.kind not in kinds or not rule.applies(domain, now):
                 continue
             if rule.rate < 1.0 and _draw(self.seed, rule.kind, index,
                                          domain, now, seq) >= rule.rate:
                 continue
-            # First firing rule wins; later firings are still recorded
-            # in ``observed`` (draws are pure, so the extra evaluation
-            # cannot perturb anything) for the injection audit.
-            if observed is not None:
-                observed.add(index)
+            self.observed.add(index)
             if decision is None:
                 decision = BehaviorDecision(
                     kind=rule.kind, delay_ns=rule.delay_ns,
                     fraction=rule.fraction,
                     thrash_factor=rule.thrash_factor)
-                if observed is None:
-                    return decision
-        return decision
-
-    def revocation_decision(self, domain, now, seq=0, observed=None):
-        """How ``domain`` behaves towards this revocation notification."""
-        return self._decide(_SCOPE_REVOKE, domain, now, seq,
-                            observed=observed)
-
-    def alloc_decision(self, domain, now, seq=0, observed=None):
-        """Whether this frame request is inflated (alloc_thrash)."""
-        return self._decide(_SCOPE_ALLOC, domain, now, seq,
-                            observed=observed)
-
-
-class BehaviorInjector:
-    """The plan bound to a metrics registry, with per-domain
-    consultation sequence numbers (so equal-rate draws at the same
-    simulated time stay independent — and reproducible)."""
-
-    def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "behavior_faults_injected_total",
-            help="domain-behaviour faults injected, by kind and domain")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
-        self._seq = {}
-
-    def _next_seq(self, scope, domain):
-        key = (scope, domain)
-        self._seq[key] = self._seq.get(key, 0) + 1
-        return self._seq[key]
-
-    def _account(self, decision, domain):
         if decision is not None:
-            self.injected += 1
-            self._family.child(kind=decision.kind, domain=domain).inc()
+            self._inject(kind=decision.kind, domain=domain)
         return decision
 
     def revocation_decision(self, domain, now):
-        """Consulted by the MMEntry at the revocation channel."""
-        seq = self._next_seq(_SCOPE_REVOKE, domain)
-        return self._account(
-            self.plan.revocation_decision(domain, now, seq,
-                                          observed=self.observed), domain)
+        """How ``domain`` behaves towards this revocation notification
+        (consulted by the MMEntry at the revocation channel)."""
+        return self._decide(REVOKE_KINDS, domain, now)
 
     def alloc_count(self, domain, now, count, room):
         """Consulted by FramesClient.request_frames: possibly inflate
         ``count`` (never beyond ``room``, the contract's remaining
         quota)."""
-        seq = self._next_seq(_SCOPE_ALLOC, domain)
-        decision = self._account(
-            self.plan.alloc_decision(domain, now, seq,
-                                     observed=self.observed), domain)
+        decision = self._decide((ALLOC_THRASH,), domain, now)
         if decision is None:
             return count
         return max(count, min(max(room, 0), count * decision.thrash_factor))

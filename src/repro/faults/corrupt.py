@@ -30,18 +30,18 @@ Corruption kinds:
 Determinism follows the other planes exactly: every draw is a pure
 function of ``(seed, kind, rule index, lba, time-or-generation)``
 through keyed BLAKE2b, so a corruption storm reproduces byte-for-byte
-given the same seed. The injector is consulted by the disk model on
-every *successful* read and notified of every successful write (to
-advance write generations); it never changes a transaction's status
-or timing — corruption is free, silent and invisible to the PR-2
-error machinery, which is the entire point.
+given the same seed. The plan, installed as the disk's ``corruptor``,
+is consulted on every *successful* read and notified of every
+successful write (to advance write generations); it never changes a
+transaction's status or timing — corruption is free, silent and
+invisible to the storage plane's error machinery, which is the entire
+point.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.faults.plan import FireRecorder, _draw
-from repro.obs.metrics import NULL_REGISTRY
+from repro.faults.plan import Plan, _check_rate_and_window, _draw, _in_window
 
 # Corruption kinds.
 BIT_FLIP = "bit_flip"
@@ -76,18 +76,11 @@ class CorruptRule:
         if self.kind not in CORRUPT_KINDS:
             raise ValueError("kind must be one of %s, got %r"
                              % (CORRUPT_KINDS, self.kind))
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
-        if self.start_ns < 0:
-            raise ValueError("negative start_ns")
-        if self.end_ns is not None and self.end_ns <= self.start_ns:
-            raise ValueError("end_ns must exceed start_ns")
+        _check_rate_and_window(self)
 
     def applies(self, req, now):
         """Rule scope check: time window and LBA overlap."""
-        if now < self.start_ns:
-            return False
-        if self.end_ns is not None and now >= self.end_ns:
+        if not _in_window(self, now):
             return False
         end = self.lba_end
         return req.end > self.lba_start and (end is None or req.lba < end)
@@ -102,18 +95,31 @@ class CorruptDecision:
     lba: int
 
 
-@dataclass(frozen=True)
-class CorruptPlan:
-    """A seed plus an ordered tuple of rules; first firing rule wins.
+class CorruptPlan(Plan):
+    """The corruption plane, installed as the disk's ``corruptor``:
+    first firing rule wins, with per-blok write generations.
 
-    Like the crash plane, later firing rules are still recorded in
-    ``observed`` (draws are pure, so the extra evaluation cannot
-    perturb the winning decision) so the mission plane's injection
-    audit can prove every declared rule was exercised.
+    ``note_write`` must be called for every *successful* write so torn
+    and misdirected corruption attaches to written versions — a client
+    that rewrites a corrupt blok deterministically re-draws (the fresh
+    version either takes cleanly or is corrupt anew).
     """
 
-    seed: int
-    rules: Tuple[CorruptRule, ...] = ()
+    METRIC = ("corruptions_injected_total",
+              "silent corruptions injected on the read path, by kind "
+              "and victim stream")
+
+    def __init__(self, seed, rules=()):
+        super().__init__(seed, rules)
+        self._generation = {}   # blok-aligned LBA -> versions written
+
+    def generation(self, lba):
+        """The write-generation counter for one (blok-aligned) LBA."""
+        return self._generation.get(lba, 0)
+
+    def note_write(self, req, now):
+        """Advance the written generation of the blok ``req`` covers."""
+        self._generation[req.lba] = self._generation.get(req.lba, 0) + 1
 
     def _hit(self, rule, index, req, now, generation):
         """Whether one applicable rule corrupts this read."""
@@ -125,25 +131,23 @@ class CorruptPlan:
         return _draw(self.seed, rule.kind, index, req.lba,
                      occasion) < rule.rate
 
-    def decide_read(self, req, now, generation=0, observed=None):
+    def decide_read(self, req, now):
         """What a successful read of ``req`` actually returns: None for
         the true payload, or a :class:`CorruptDecision` naming the
-        corruption silently riding along. ``generation`` is the blok's
-        write-generation counter (the injector tracks it) so torn and
-        misdirected writes stick to the written version."""
+        corruption silently riding along."""
+        generation = self._generation.get(req.lba, 0)
         decision = None
         for index, rule in enumerate(self.rules):
             if not rule.applies(req, now):
                 continue
             if not self._hit(rule, index, req, now, generation):
                 continue
-            if observed is not None:
-                observed.add(index)
+            self.observed.add(index)
             if decision is None:
                 decision = CorruptDecision(rule_index=index, kind=rule.kind,
                                            lba=req.lba)
-                if observed is None:
-                    break
+        if decision is not None:
+            self._inject(kind=decision.kind, client=req.client or "?")
         return decision
 
 
@@ -155,45 +159,3 @@ def extent_corruption(seed, extent, kind=BIT_FLIP, rate=0.1):
         CorruptRule(kind=kind, rate=rate, lba_start=extent.start,
                     lba_end=extent.end),))
 
-
-class CorruptionInjector:
-    """The plan bound to a metrics registry, with per-blok write
-    generations: the disk's consultation point on the read path.
-
-    ``note_write`` must be called for every *successful* write so torn
-    and misdirected corruption attaches to written versions — a client
-    that rewrites a corrupt blok deterministically re-draws (the fresh
-    version either takes cleanly or is corrupt anew).
-    """
-
-    def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "corruptions_injected_total",
-            help="silent corruptions injected on the read path, by kind "
-                 "and victim stream")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
-        self._generation = {}
-
-    def generation(self, lba):
-        """The write-generation counter for one (blok-aligned) LBA."""
-        return self._generation.get(lba, 0)
-
-    def note_write(self, req, now):
-        """Advance the written generation of the blok ``req`` covers."""
-        self._generation[req.lba] = self._generation.get(req.lba, 0) + 1
-
-    def decide_read(self, req, now):
-        """Consulted by the disk once per successful read."""
-        decision = self.plan.decide_read(
-            req, now, generation=self._generation.get(req.lba, 0),
-            observed=self.observed)
-        if decision is not None:
-            self.injected += 1
-            self._family.child(kind=decision.kind,
-                               client=req.client or "?").inc()
-        return decision

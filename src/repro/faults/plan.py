@@ -4,7 +4,13 @@ The paper's containment argument (§4–§6, Figure 9) is only half-tested
 by CPU/protection faults: the other half is the storage stack the USBS
 exists to discipline. This module provides the *injection plane*: a
 :class:`FaultPlan` of declarative :class:`FaultRule` entries that the
-disk model consults on every transaction.
+disk model consults on every transaction, and :class:`Plan`, the base
+all four planes share. A plan is its plane's consultation point: it
+holds the seed and rules, the fire evidence the mission audit reads
+(``observed``), the count of faults it delivered (``injected``) and,
+once :meth:`Plan.bind` is called at install time, the plane's metric
+family. Because a plan carries that state, each install takes a fresh
+one.
 
 Determinism is the design constraint. Every probabilistic draw is a
 pure function of ``(seed, rule, lba, op, simulated time)`` through a
@@ -67,8 +73,7 @@ class FireRecorder:
     ``observed.add(index)``; this recorder keeps both the set of
     indices that ever fired and how many times each did, so mission
     reports can show per-rule counts rather than a boolean. It
-    iterates and compares like the plain ``set`` the plans were
-    written against, so plans and tests need not care which they get.
+    iterates and compares like a plain ``set`` of indices.
     """
 
     def __init__(self):
@@ -94,6 +99,59 @@ class FireRecorder:
 
     def __repr__(self):
         return "<FireRecorder %r>" % (self.counts,)
+
+
+def _check_rate_and_window(rule):
+    """The validation every plane's rule shares: a per-draw ``rate`` in
+    [0, 1] and a ``[start_ns, end_ns)`` window (``end_ns`` None: forever)."""
+    if not 0.0 <= rule.rate <= 1.0:
+        raise ValueError("rate must be in [0, 1], got %r" % rule.rate)
+    if rule.start_ns < 0:
+        raise ValueError("negative start_ns")
+    if rule.end_ns is not None and rule.end_ns <= rule.start_ns:
+        raise ValueError("end_ns must exceed start_ns")
+
+
+def _in_window(rule, now):
+    """Whether simulated time ``now`` falls in ``rule``'s window."""
+    return rule.start_ns <= now and (rule.end_ns is None
+                                     or now < rule.end_ns)
+
+
+class Plan:
+    """A seed plus an ordered tuple of rules, and what consulting them
+    accumulates.
+
+    ``observed`` collects the index of every rule whose own draw fired
+    — even a rule outranked by another on the same consultation (draws
+    are pure, so the extra evaluations cannot perturb a decision) — so
+    the mission plane's injection audit can prove each declared rule
+    was exercised. ``injected`` counts the faults actually delivered;
+    :meth:`bind` exports them to the plane's metric family as well.
+    """
+
+    #: (family name, help) of the plane's injection counter.
+    METRIC = ("", "")
+
+    def __init__(self, seed, rules=()):
+        self.seed = seed
+        self.rules = tuple(rules)
+        #: Fire evidence per rule (set-like, with counts).
+        self.observed = FireRecorder()
+        self.injected = 0
+        self._family = NULL_REGISTRY.counter(self.METRIC[0])
+
+    def bind(self, metrics):
+        """Count this plan's injections in ``metrics`` (called when the
+        plan is installed); returns the plan."""
+        name, help_text = self.METRIC
+        self._family = metrics.counter(name, help=help_text)
+        return self
+
+    def _inject(self, **labels):
+        """Account one delivered fault under ``labels``."""
+        self.injected += 1
+        self._family.child(**labels).inc()
 
 
 @dataclass(frozen=True)
@@ -122,16 +180,13 @@ class FaultRule:
         if self.kind not in _KINDS:
             raise ValueError("kind must be one of %s, got %r"
                              % (_KINDS, self.kind))
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("rate must be in [0, 1], got %r" % self.rate)
+        _check_rate_and_window(self)
 
     def applies(self, req, now):
         """Rule scope check: operation, time window, LBA overlap."""
         if self.op is not None and req.kind != self.op:
             return False
-        if now < self.start_ns:
-            return False
-        if self.end_ns is not None and now >= self.end_ns:
+        if not _in_window(self, now):
             return False
         end = self.lba_end
         return req.end > self.lba_start and (end is None or req.lba < end)
@@ -151,17 +206,12 @@ class FaultDecision:
     extra_ns: int = 0
     kind: Optional[str] = None
 
-    @property
-    def clean(self):
-        return self.status == STATUS_OK and self.extra_ns == 0
-
 
 CLEAN = FaultDecision()
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """A seed plus an ordered tuple of rules.
+class FaultPlan(Plan):
+    """The storage plane, installed as the disk's ``injector``.
 
     Precedence when several rules hit the same transaction:
     ``bad_block`` > ``stuck`` > ``transient`` (an error outranks a
@@ -169,8 +219,8 @@ class FaultPlan:
     clean result and is subsumed by any failure.
     """
 
-    seed: int
-    rules: Tuple[FaultRule, ...] = ()
+    METRIC = ("faults_injected_total",
+              "storage faults injected, by kind and victim stream")
 
     def _bad_block_hit(self, rule, index, req):
         for lba in rule.blocks:
@@ -184,17 +234,10 @@ class FaultPlan:
                 return True
         return False
 
-    def decide(self, req, now, observed=None):
+    def decide(self, req, now):
         """Evaluate every rule against one transaction; returns a
-        :class:`FaultDecision` (CLEAN if nothing fires).
-
-        ``observed``, when given, is a set that collects the index of
-        every rule whose own draw fired for this transaction — even
-        rules outranked by precedence. Draws are pure functions of the
-        key, so the extra evaluations cannot perturb the decision; the
-        mission plane's injection audit uses this to prove each
-        declared rule was exercised (not vacuous).
-        """
+        :class:`FaultDecision` (CLEAN if nothing fires)."""
+        observed = self.observed
         fail_kind = None
         stuck_ns = 0
         latency_extra = 0
@@ -202,40 +245,38 @@ class FaultPlan:
             if not rule.applies(req, now):
                 continue
             if rule.kind == BAD_BLOCK:
-                hit = self._bad_block_hit(rule, index, req)
-                if hit and observed is not None:
+                if self._bad_block_hit(rule, index, req):
                     observed.add(index)
-                if fail_kind != BAD_BLOCK and hit:
                     fail_kind = BAD_BLOCK
             elif rule.kind == STUCK:
-                fired = _draw(self.seed, STUCK, index, req.lba, req.kind,
-                              now) < rule.rate
-                if fired and observed is not None:
+                if _draw(self.seed, STUCK, index, req.lba, req.kind,
+                         now) < rule.rate:
                     observed.add(index)
-                if fail_kind in (None, TRANSIENT) and fired:
-                    fail_kind = STUCK
-                    stuck_ns = rule.stuck_ns
+                    if fail_kind in (None, TRANSIENT):
+                        fail_kind = STUCK
+                        stuck_ns = rule.stuck_ns
             elif rule.kind == TRANSIENT:
-                fired = _draw(self.seed, TRANSIENT, index, req.lba,
-                              req.kind, now) < rule.rate
-                if fired and observed is not None:
+                if _draw(self.seed, TRANSIENT, index, req.lba, req.kind,
+                         now) < rule.rate:
                     observed.add(index)
-                if fail_kind is None and fired:
-                    fail_kind = TRANSIENT
+                    if fail_kind is None:
+                        fail_kind = TRANSIENT
             else:  # LATENCY
                 if _draw(self.seed, LATENCY, index, req.lba, req.kind,
                          now) < rule.rate:
-                    if observed is not None:
-                        observed.add(index)
+                    observed.add(index)
                     latency_extra += rule.extra_ns
         if fail_kind in (BAD_BLOCK, TRANSIENT):
-            return FaultDecision(status=STATUS_IO_ERROR, kind=fail_kind)
-        if fail_kind == STUCK:
-            return FaultDecision(status=STATUS_TIMEOUT, extra_ns=stuck_ns,
-                                 kind=STUCK)
-        if latency_extra:
-            return FaultDecision(extra_ns=latency_extra, kind=LATENCY)
-        return CLEAN
+            decision = FaultDecision(status=STATUS_IO_ERROR, kind=fail_kind)
+        elif fail_kind == STUCK:
+            decision = FaultDecision(status=STATUS_TIMEOUT,
+                                     extra_ns=stuck_ns, kind=STUCK)
+        elif latency_extra:
+            decision = FaultDecision(extra_ns=latency_extra, kind=LATENCY)
+        else:
+            return CLEAN
+        self._inject(kind=decision.kind, client=req.client or "?")
+        return decision
 
 
 def disk_storm(seed, transient_rate):
@@ -246,26 +287,3 @@ def disk_storm(seed, transient_rate):
     return FaultPlan(seed=seed, rules=(
         FaultRule(kind=TRANSIENT, rate=transient_rate),))
 
-
-class FaultInjector:
-    """The plan bound to a metrics registry: the disk's consultation
-    point, and the accounting of everything injected."""
-
-    def __init__(self, plan, metrics=None):
-        self.plan = plan
-        metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._family = metrics.counter(
-            "faults_injected_total",
-            help="storage faults injected, by kind and victim stream")
-        self.injected = 0
-        #: Fire evidence per plan rule (set-like, with counts) — the
-        #: mission plane's injection-audit evidence.
-        self.observed = FireRecorder()
-
-    def decide(self, req, now):
-        decision = self.plan.decide(req, now, observed=self.observed)
-        if not decision.clean:
-            self.injected += 1
-            self._family.child(kind=decision.kind,
-                               client=req.client or "?").inc()
-        return decision

@@ -218,8 +218,8 @@ class Disk:
                  corruptor=None):
         self.sim = sim
         self.geometry = geometry
-        self.injector = injector   # optional repro.faults.FaultInjector
-        self.corruptor = corruptor  # optional repro.faults.CorruptionInjector
+        self.injector = injector    # optional repro.faults.FaultPlan
+        self.corruptor = corruptor  # optional repro.faults.CorruptPlan
         self.head_cylinder = 0
         self._segments = []  # LRU order: index 0 oldest
         self._busy = False

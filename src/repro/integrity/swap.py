@@ -82,7 +82,7 @@ class ChecksummedSwap:
         self.repair_reads = 0
         #: Every corrupt payload this wrapper intercepted before it
         #: could reach a consumer: detections plus corrupt repair
-        #: re-reads. ``injector.injected - sum(caught)`` is therefore
+        #: re-reads. ``corruptor.injected - sum(caught)`` is therefore
         #: the count of corruptions delivered *unverified* — the
         #: ``undetected_corruptions`` evidence.
         self.corruptions_caught = 0

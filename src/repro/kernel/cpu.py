@@ -251,8 +251,7 @@ class AtroposCpu:
 
     quantum = DEFAULT_QUANTUM
 
-    def __init__(self, sim, cpus=1, placement="ffd", seed=1999,
-                 metrics=None):
+    def __init__(self, sim, cpus=1, seed=1999, metrics=None):
         if cpus < 1:
             raise ValueError("need at least one cpu, got %d" % cpus)
         self.sim = sim
@@ -261,7 +260,7 @@ class AtroposCpu:
         self.scheds = [AtroposScheduler(sim, name="cpu%d" % index,
                                         metrics=metrics)
                        for index in range(cpus)]
-        self.policy = PlacementPolicy(cpus, policy=placement, seed=seed)
+        self.policy = PlacementPolicy(cpus, seed=seed)
         self.accounts = {}   # domain name -> CpuAccount
         self.core_map = {}   # domain name -> core index
         self.refusals = 0

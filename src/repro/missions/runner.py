@@ -15,7 +15,7 @@ PASS/FAIL report:
   into a per-invariant verdict;
 * the **injection audit** checks that every declared fault,
   corruption, crash and behaviour rule was actually observed firing
-  (via the injectors' ``observed`` sets — draws are pure, so
+  (via the plans' ``observed`` evidence — draws are pure, so
   observation is free); a mission whose storm never happened FAILS as
   *vacuous* rather than passing by accident;
 * with ``[determinism] repeat`` set, that run is executed a second
@@ -37,8 +37,8 @@ from repro.apps.compute_app import ComputeApplication
 from repro.apps.fsclient import FileSystemClient
 from repro.apps.pager_app import PagingApplication
 from repro.faults import (BehaviorPlan, BehaviorRule, CorruptPlan,
-                          CorruptRule, CrashInjector, CrashPlan, CrashRule,
-                          FaultPlan, FaultRule)
+                          CorruptRule, CrashPlan, CrashRule, FaultPlan,
+                          FaultRule)
 from repro.hw.mmu import AccessKind
 from repro.hw.platform import Machine
 from repro.kernel.threads import Touch, Wait
@@ -145,12 +145,7 @@ def _swap_clients(driver):
     """The USD client(s) behind a driver's swap (1 for SFS, N for a
     multi-volume backing; none for swapless regimes like seg)."""
     swap = getattr(driver, "swap", None)
-    if swap is None:
-        return []
-    attachments = getattr(swap, "attachments", None)
-    if attachments is not None:
-        return list(attachments())
-    return [swap.channel.usd_client]
+    return [] if swap is None else list(swap.attachments())
 
 
 def canonical(value):
@@ -197,6 +192,15 @@ def _disk_rule_kwargs(rule, extent=None, now=0):
     if rule["kind"] == "latency":
         config["extra_ns"] = rule["extra_ms"] * MS
     return config
+
+
+def _rule_label(rule):
+    """How the injection audit names one mission rule: its kind (crash
+    rules have none) on its scope, domain or component."""
+    target = (rule.get("scope") or rule.get("domain")
+              or rule.get("component") or "<any>")
+    kind = rule.get("kind")
+    return "%s on %s" % (kind, target) if kind else "on %s" % target
 
 
 def _behavior_rule(rule):
@@ -271,7 +275,6 @@ class MissionRunner:
             # The Atropos CPU: per-core run queues with seed-stable
             # domain placement (see repro.place).
             kwargs["cpus"] = topology["cpus"]
-            kwargs["placement"] = topology["placement"]
             kwargs["place_seed"] = self.mission["mission"]["seed"]
         integrity = self.mission["integrity"]
         if integrity["enabled"]:
@@ -422,13 +425,14 @@ class MissionRunner:
         plan per target and install it: a fault plan as the disk's
         injector, a :class:`~repro.faults.CorruptPlan` as its
         ``corruptor`` (independent of its loud fault plan).
-        ``installed`` maps target key -> (injector, [mission rule
+        ``installed`` maps target key -> (plan, [mission rule
         indices]) for the audit; volume scopes register in
         ``fault_volumes`` so the drain-family invariants can name the
         storm volume."""
         seed = self.mission["mission"]["seed"]
         now = system.sim.now
-        rule_cls = FaultRule if plane == "faults" else CorruptRule
+        rule_cls, plan_cls = ((FaultRule, FaultPlan) if plane == "faults"
+                              else (CorruptRule, CorruptPlan))
         grouped = {}    # target key -> ([rules], [mission indices])
         for index, rule in rules:
             target, extent = self._resolve_target(rule, system, handles)
@@ -461,18 +465,14 @@ class MissionRunner:
                     "disk (split the scopes or align 'during')"
                     % (plane[:-1], target))
         for target, (plan_rules, indices) in grouped.items():
+            plan = plan_cls(seed=seed, rules=tuple(plan_rules))
+            owner = (system if target == "disk"
+                     else system.usbs.volumes[target[1]])
             if plane == "faults":
-                plan = FaultPlan(seed=seed, rules=tuple(plan_rules))
-                injector = (system.install_fault_plan(plan)
-                            if target == "disk" else
-                            system.usbs.install_fault_plan(target[1], plan))
+                owner.install_fault_plan(plan)
             else:
-                plan = CorruptPlan(seed=seed, rules=tuple(plan_rules))
-                injector = (system.install_corruption_plan(plan)
-                            if target == "disk" else
-                            system.usbs.install_corruption_plan(target[1],
-                                                                plan))
-            installed[target] = (injector, indices)
+                owner.install_corruption_plan(plan)
+            installed[target] = (plan, indices)
 
     # -- supervision ----------------------------------------------------------
 
@@ -515,21 +515,20 @@ class MissionRunner:
         return components
 
     def _start_supervision(self, system, run, handles, balancer):
-        """Build the crash injector, the supervisor and the progress
-        sampler; returns (supervisor, injector, components, samples)."""
+        """Build the crash plan, the supervisor and the progress
+        sampler; returns (supervisor, crash plan, components, samples)."""
         mission = self.mission
         supervision = mission["supervision"]
-        injector = CrashInjector(
-            CrashPlan(seed=mission["mission"]["seed"],
-                      rules=tuple(_crash_rule(rule)
-                                  for rule in run["crashes"])),
-            metrics=system.metrics)
+        crash_plan = CrashPlan(
+            seed=mission["mission"]["seed"],
+            rules=tuple(_crash_rule(rule) for rule in run["crashes"])
+        ).bind(system.metrics)
         policy = RestartPolicy(
             backoff_ns=supervision["backoff_ms"] * MS,
             max_backoff_ns=supervision["max_backoff_ms"] * MS)
         supervisor = Supervisor(
             system.sim, heartbeat_ns=supervision["heartbeat_ms"] * MS,
-            policy=policy, injector=injector, metrics=system.metrics,
+            policy=policy, injector=crash_plan, metrics=system.metrics,
             spans=system.spans)
         components = self._supervised_components(system, run, handles,
                                                  balancer)
@@ -541,7 +540,7 @@ class MissionRunner:
                                    self._measured(handles, components),
                                    supervision["sample_ms"] * MS, samples),
             name="progress-sampler")
-        return supervisor, injector, components, samples
+        return supervisor, crash_plan, components, samples
 
     def _progress_sampler(self, system, measured, period, samples):
         """Record ``[sim ns, {domain: progress bytes}]`` every
@@ -557,8 +556,10 @@ class MissionRunner:
 
     def _execute_run(self, run):
         """Build + run one ``[[runs]]`` entry; returns (payload, fired)
-        where ``fired`` is {"faults": set, "behaviors": set[, "crashes":
-        set]} of mission rule indices observed firing."""
+        where ``fired`` maps each plane ("faults", "behaviors", plus
+        "corruptions" in runs that declare some and "crashes" in
+        supervised runs) to the set of mission rule indices observed
+        firing, and "counts" to {plane: {str(mission index): fires}}."""
         mission = self.mission
         phases = mission["phases"]
         self._run_name = run["name"]
@@ -573,25 +574,21 @@ class MissionRunner:
         balancer = (MemoryBalancer(system)
                     if run["topology"]["balancer"] else None)
         supervisor = None
-        crash_injector = None
+        crash_plan = None
         components = {}
         samples = []
         if mission["supervision"]["enabled"]:
-            supervisor, crash_injector, components, samples = \
+            supervisor, crash_plan, components, samples = \
                 self._start_supervision(system, run, handles, balancer)
-        installed = {}      # target key -> (injector, mission indices)
-        corrupt_installed = {}   # ditto, for the corruption plane
+        # plane -> {target key: (plan, mission indices)}
+        installed = {"faults": {}, "corruptions": {}}
         fault_volumes = {}  # scope string -> volume name
-        start_rules, measure_rules = self._split_rules(run["faults"])
-        if start_rules:
-            self._install_plans(system, handles, "faults", start_rules,
-                                installed, fault_volumes)
-        corrupt_start, corrupt_measure = self._split_rules(
-            run["corruptions"])
-        if corrupt_start:
-            self._install_plans(system, handles, "corruptions",
-                                corrupt_start, corrupt_installed,
-                                fault_volumes)
+        phased = {plane: self._split_rules(run[plane])
+                  for plane in installed}
+        for plane, (start_rules, _) in phased.items():
+            if start_rules:
+                self._install_plans(system, handles, plane, start_rules,
+                                    installed[plane], fault_volumes)
         # Scenario drivers (declared order; deterministic spawn order).
         results = {"claims": [], "transfers": []}
         min_alloc = {}
@@ -633,21 +630,17 @@ class MissionRunner:
                 self._advance(system, 1 * SEC)
                 populate_sec += 1.0
         self._advance(system, int(phases["settle_sec"] * SEC))
-        if measure_rules:
-            self._install_plans(system, handles, "faults", measure_rules,
-                                installed, fault_volumes)
-        if corrupt_measure:
-            self._install_plans(system, handles, "corruptions",
-                                corrupt_measure, corrupt_installed,
-                                fault_volumes)
+        for plane, (_, measure_rules) in phased.items():
+            if measure_rules:
+                self._install_plans(system, handles, plane, measure_rules,
+                                    installed[plane], fault_volumes)
         measured = self._measured(handles, components)
         start_bytes = {name: progress() for name, progress in measured}
         charged0 = {}
         for name, pager in self._pagers(handles):
             for client in _swap_clients(pager.driver):
-                if hasattr(client, "usd"):
-                    charged0[(name, client.usd.name)] = (client.served_ns
-                                                         + client.lax_ns)
+                charged0[(name, client.usd.name)] = (client.served_ns
+                                                     + client.lax_ns)
         self._advance(system, int(phases["measure_sec"] * SEC))
         window_ns = phases["measure_sec"] * SEC
         mbits = {name: (progress() - start_bytes[name]) * 8 / 1e6
@@ -655,8 +648,7 @@ class MissionRunner:
         volume_shares = []
         for name, pager in self._pagers(handles):
             for client in _swap_clients(pager.driver):
-                key = (name, getattr(client, "usd", None)
-                       and client.usd.name)
+                key = (name, client.usd.name)
                 if key not in charged0:
                     # Attached mid-window (a drain re-placed the
                     # shard, or a restart re-attached swap); no
@@ -708,39 +700,25 @@ class MissionRunner:
             payload["progress_samples"] = samples
         if mission["integrity"]["enabled"] or run["corruptions"]:
             payload["integrity"] = self._integrity_payload(system)
+        planes = [(plane, plan, indices)
+                  for plane, targets in installed.items()
+                  for plan, indices in targets.values()]
+        for plane, plan in (("behaviors", system.frames_allocator.behavior),
+                            ("crashes", crash_plan)):
+            if plan is not None:
+                planes.append((plane, plan, range(len(plan.rules))))
         fired = {"faults": set(), "behaviors": set(),
                  "counts": {"faults": {}, "behaviors": {},
                             "corruptions": {}, "crashes": {}}}
-        counts = fired["counts"]
-        for injector, indices in installed.values():
-            if injector is None:
-                continue
-            fired["faults"].update(indices[i] for i in injector.observed)
-            for i, count in injector.observed.counts.items():
+        if crash_plan is not None:
+            fired["crashes"] = set()
+        for plane, plan, indices in planes:
+            seen = fired.setdefault(plane, set())
+            counts = fired["counts"][plane]
+            for i, count in plan.observed.counts.items():
+                seen.add(indices[i])
                 key = str(indices[i])
-                counts["faults"][key] = (counts["faults"].get(key, 0)
-                                         + count)
-        if run["corruptions"]:
-            fired["corruptions"] = set()
-            for injector, indices in corrupt_installed.values():
-                if injector is None:
-                    continue
-                fired["corruptions"].update(indices[i]
-                                            for i in injector.observed)
-                for i, count in injector.observed.counts.items():
-                    key = str(indices[i])
-                    counts["corruptions"][key] = (
-                        counts["corruptions"].get(key, 0) + count)
-        if system.behavior_injector is not None:
-            observed = system.behavior_injector.observed
-            fired["behaviors"].update(observed)
-            counts["behaviors"] = {str(i): count
-                                   for i, count in observed.counts.items()}
-        if crash_injector is not None:
-            fired["crashes"] = set(crash_injector.observed)
-            counts["crashes"] = {
-                str(i): count
-                for i, count in crash_injector.observed.counts.items()}
+                counts[key] = counts.get(key, 0) + count
         return payload, fired
 
     def _integrity_payload(self, system):
@@ -767,8 +745,8 @@ class MissionRunner:
             repaired += swap.corruptions_repaired
             lost += swap.corruptions_lost
             repair_reads += swap.repair_reads
-        injected = (system.corruption_injector.injected
-                    if system.corruption_injector is not None else 0)
+        corruptor = system.disk.corruptor
+        injected = corruptor.injected if corruptor is not None else 0
         if system.usbs is not None:
             injected += sum(
                 system.usbs.corruption_exposure_by_volume().values())
@@ -827,8 +805,8 @@ class MissionRunner:
                 "alive": not pager.main_thread.done.triggered,
             }
         stats = {
-            "faults_injected": (system.fault_injector.injected
-                                if system.fault_injector else 0),
+            "faults_injected": (system.disk.injector.injected
+                                if system.disk.injector else 0),
             "behavior_faults": _counter_total(
                 system, "behavior_faults_injected_total"),
             "revocation_rounds": _counter_total(
@@ -910,40 +888,17 @@ class MissionRunner:
         for run in mission["runs"]:
             fired = fired_by_run[run["name"]]
             fired_out[run["name"]] = {
-                "faults": sorted(fired["faults"]),
-                "behaviors": sorted(fired["behaviors"]),
-                "counts": fired["counts"],
-            }
-            if "corruptions" in fired:
-                fired_out[run["name"]]["corruptions"] = sorted(
-                    fired["corruptions"])
-            if "crashes" in fired:
-                fired_out[run["name"]]["crashes"] = sorted(
-                    fired["crashes"])
-            for index, rule in enumerate(run["faults"]):
-                if index not in fired["faults"]:
-                    vacuous.append(
-                        "%s: faults[%d] (%s on %s) never fired"
-                        % (run["name"], index, rule["kind"],
-                           rule["scope"]))
-            for index, rule in enumerate(run["corruptions"]):
-                if index not in fired.get("corruptions", ()):
-                    vacuous.append(
-                        "%s: corruptions[%d] (%s on %s) never fired"
-                        % (run["name"], index, rule["kind"],
-                           rule["scope"]))
-            for index, rule in enumerate(mission["behaviors"]):
-                if index not in fired["behaviors"]:
-                    vacuous.append(
-                        "%s: behaviors[%d] (%s on %s) never fired"
-                        % (run["name"], index, rule["kind"],
-                           rule["domain"] or "<any>"))
-            for index, rule in enumerate(run["crashes"]):
-                if index not in fired.get("crashes", ()):
-                    vacuous.append(
-                        "%s: crashes[%d] (on %s) never fired"
-                        % (run["name"], index,
-                           rule["component"] or "<any>"))
+                plane: value if plane == "counts" else sorted(value)
+                for plane, value in fired.items()}
+            for plane, rules in (("faults", run["faults"]),
+                                 ("corruptions", run["corruptions"]),
+                                 ("behaviors", mission["behaviors"]),
+                                 ("crashes", run["crashes"])):
+                for index, rule in enumerate(rules):
+                    if index not in fired.get(plane, ()):
+                        vacuous.append("%s: %s[%d] (%s) never fired"
+                                       % (run["name"], plane, index,
+                                          _rule_label(rule)))
         return {"passed": not vacuous, "fired": fired_out,
                 "vacuous": vacuous}
 

@@ -85,8 +85,8 @@ MISSION_FIELDS = (
 #: keeps the FIFO CPU the paper's paging experiments run on;
 #: ``cpus >= 1`` builds the Atropos CPU with that many cores (one run
 #: queue per core; ``cpus=1`` is the paper's uniprocessor), with domain
-#: contracts placed by ``placement`` (see :mod:`repro.place`), seeded
-#: by the mission seed. Defaults mirror
+#: contracts placed first-fit-decreasing (see :mod:`repro.place`),
+#: seeded by the mission seed. Defaults mirror
 #: :class:`repro.system.NemesisSystem`.
 TOPOLOGY_FIELDS = (
     _f("machine_mb", "int", default=0, min=0, max=4096),
@@ -96,7 +96,6 @@ TOPOLOGY_FIELDS = (
     _f("revocation_timeout_ms", "int", default=100, min=1),
     _f("balancer", "bool", default=False),
     _f("cpus", "int", default=0, min=0, max=16),
-    _f("placement", "str", default="ffd", choices=("ffd", "spread")),
 )
 
 #: ``[phases]`` — the run's timeline: optional populate loop, settle,

@@ -233,7 +233,7 @@ class FramesAllocator:
         self.revocation_timeout = revocation_timeout
         self.max_revocation_rounds = max_revocation_rounds
         self.system_reserve = system_reserve
-        self.behavior = None            # optional BehaviorInjector
+        self.behavior = None            # optional BehaviorPlan
         self.clients = []
         self._requests = deque()
         self._wake = sim.event("frames.wake")

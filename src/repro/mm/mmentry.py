@@ -54,13 +54,12 @@ class MMEntry:
     """
 
     def __init__(self, domain, frames_client, pagetable, workers=1,
-                 fault_timeout=None, behavior=None):
+                 fault_timeout=None):
         self.domain = domain
         self.sim = domain.sim
         self.meter = domain.meter
         self.frames = frames_client
         self.pagetable = pagetable
-        self.behavior = behavior       # optional BehaviorInjector
         self.registry = PagerRegistry()
         self._work = deque()           # queued faults / revocations
         self._work_event = None
@@ -214,9 +213,10 @@ class MMEntry:
         """
         self.meter.charge("notify_handler")
         decision = None
-        if self.behavior is not None:
-            decision = self.behavior.revocation_decision(self.domain.name,
-                                                         self.sim.now)
+        behavior = self.frames.allocator.behavior
+        if behavior is not None:
+            decision = behavior.revocation_decision(self.domain.name,
+                                                    self.sim.now)
         if decision is not None and decision.kind == "revoke_silent":
             return   # hostile: the request vanishes, no reply ever
         self.meter.charge("thread_block")

@@ -67,21 +67,6 @@ class PagedDriver(StretchDriver):
         # deadline-aware revocation leg: the duration of the last one.
         self._clean_cost_ns = 0
 
-    # -- stream selection ---------------------------------------------------
-
-    def _swap_slot(self, blok, kind):
-        """Flow-control event for an access to ``blok``.
-
-        Multi-volume backings route bloks to per-volume streams, so the
-        right gate depends on which blok (and which direction) is about
-        to move — ``slot_for`` asks the backing. Single-stream swap
-        files (and the stubs tests use) fall back to the one channel.
-        """
-        slot_for = getattr(self.swap, "slot_for", None)
-        if slot_for is not None:
-            return slot_for(blok, kind)
-        return self.swap.channel.slot()
-
     # -- policy hooks (overridden by the forgetful variant) ------------------
 
     def _has_disk_copy(self, vpn):
@@ -148,7 +133,7 @@ class PagedDriver(StretchDriver):
             if self._has_disk_copy(vpn):
                 blok = self._on_disk[vpn]
                 try:
-                    yield Wait(self._swap_slot(blok, READ))
+                    yield Wait(self.swap.slot_for(blok, READ))
                     yield Wait(self.swap.read(blok))
                 except (TransactionFailed, BlokLostError,
                         CorruptDataError):
@@ -255,7 +240,7 @@ class PagedDriver(StretchDriver):
             if must_write:
                 blok = self._assign_blok(vpn)
                 try:
-                    yield Wait(self._swap_slot(blok, WRITE))
+                    yield Wait(self.swap.slot_for(blok, WRITE))
                     yield Wait(self.swap.write(blok))
                 except TransactionFailed:
                     self.note_io_failure()

@@ -281,7 +281,6 @@ class StreamPagedDriver(PagedDriver):
         # aggregate; the per-blok ``can_accept`` check below does the
         # stream selection, so one volume's full pipe stalls only the
         # reads bound for that volume.
-        can_accept = getattr(self.swap, "can_accept", None)
         cap = min(self.prefetch_depth, self.swap.channel.depth - 1)
         while (self._prefetch_queue
                and len(inflight) < cap
@@ -294,7 +293,7 @@ class StreamPagedDriver(PagedDriver):
                 self._finish(vpn)
                 continue
             blok = self._on_disk[vpn]
-            if can_accept is not None and not can_accept(blok):
+            if not self.swap.can_accept(blok):
                 # The target stream's pipe is full: put the guess back
                 # and retry when a completion frees a slot. Sequential
                 # bloks stripe across volumes, so the head of the queue

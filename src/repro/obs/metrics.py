@@ -49,22 +49,23 @@ class _NullChild:
     __slots__ = ()
 
     def inc(self, amount=1):
-        pass
+        """Count nothing."""
 
     def dec(self, amount=1):
-        pass
+        """Count nothing."""
 
     def set(self, value):
-        pass
+        """Record nothing."""
 
     def set_max(self, value):
-        pass
+        """Record nothing."""
 
     def observe(self, value):
-        pass
+        """Record nothing."""
 
     @property
     def value(self):
+        """Always 0."""
         return 0
 
 
@@ -82,21 +83,24 @@ class _NullFamily:
     __slots__ = ()
 
     def child(self, **labels):
+        """The shared do-nothing bound instrument."""
         return _NULL_CHILD
 
     def inc(self, amount=1, **labels):
-        pass
+        """Count nothing."""
 
     def set(self, value, **labels):
-        pass
+        """Record nothing."""
 
     def observe(self, value, **labels):
-        pass
+        """Record nothing."""
 
     def get(self, **labels):
+        """Always 0."""
         return 0
 
     def series(self):
+        """No series: a disabled family records nothing."""
         return {}
 
 
@@ -115,12 +119,14 @@ class _BoundCounter:
         self._cell = cell
 
     def inc(self, amount=1):
+        """Add ``amount`` (never negative: counters only go up)."""
         if amount < 0:
             raise ValueError("counters only go up (got %r)" % amount)
         self._cell[0] += amount
 
     @property
     def value(self):
+        """The count so far."""
         return self._cell[0]
 
 
@@ -133,20 +139,25 @@ class _BoundGauge:
         self._cell = cell
 
     def set(self, value):
+        """Set the gauge to ``value``."""
         self._cell[0] = value
 
     def set_max(self, value):
+        """Raise the gauge to ``value`` if that is higher (a peak)."""
         if value > self._cell[0]:
             self._cell[0] = value
 
     def inc(self, amount=1):
+        """Raise the gauge by ``amount``."""
         self._cell[0] += amount
 
     def dec(self, amount=1):
+        """Lower the gauge by ``amount``."""
         self._cell[0] -= amount
 
     @property
     def value(self):
+        """The gauge's current value."""
         return self._cell[0]
 
 
@@ -166,6 +177,7 @@ class _HistogramCell:
         self.count = 0
 
     def observe(self, value):
+        """Record one observation in its bucket, the sum and the count."""
         self.count += 1
         self.sum += value
         # The first bucket whose bound is >= value (bounds are inclusive
@@ -174,6 +186,7 @@ class _HistogramCell:
 
     @property
     def mean(self):
+        """Mean of the observations (0.0 before the first)."""
         return self.sum / self.count if self.count else 0.0
 
 
@@ -213,6 +226,8 @@ class _Family:
 
 
 class CounterFamily(_Family):
+    """A monotone counter per label set."""
+
     kind = "counter"
 
     def _new_cell(self):
@@ -222,14 +237,18 @@ class CounterFamily(_Family):
         return _BoundCounter(cell)
 
     def inc(self, amount=1, **labels):
+        """Add ``amount`` to the counter of ``labels``."""
         _BoundCounter(self._cell(labels)).inc(amount)
 
     def get(self, **labels):
+        """The count for ``labels`` (0 if never incremented)."""
         cell = self._cells.get(_label_key(labels))
         return cell[0] if cell else 0
 
 
 class GaugeFamily(_Family):
+    """A settable value per label set."""
+
     kind = "gauge"
 
     def _new_cell(self):
@@ -239,17 +258,22 @@ class GaugeFamily(_Family):
         return _BoundGauge(cell)
 
     def set(self, value, **labels):
+        """Set the gauge of ``labels`` to ``value``."""
         self._cell(labels)[0] = value
 
     def inc(self, amount=1, **labels):
+        """Raise the gauge of ``labels`` by ``amount``."""
         self._cell(labels)[0] += amount
 
     def get(self, **labels):
+        """The gauge of ``labels`` (0 if never set)."""
         cell = self._cells.get(_label_key(labels))
         return cell[0] if cell else 0
 
 
 class HistogramFamily(_Family):
+    """Bucketed observations (plus sum and count) per label set."""
+
     kind = "histogram"
 
     def __init__(self, name, buckets, help=""):
@@ -268,9 +292,11 @@ class HistogramFamily(_Family):
         return cell
 
     def observe(self, value, **labels):
+        """Record one observation for ``labels``."""
         self._cell(labels).observe(value)
 
     def get(self, **labels):
+        """``{"count", "sum", "buckets"}`` for ``labels``."""
         cell = self._cells.get(_label_key(labels))
         if cell is None:
             return {"count": 0, "sum": 0,
@@ -301,6 +327,7 @@ class MetricsSnapshot:
         self._data = data
 
     def names(self):
+        """Every metric family name captured, sorted."""
         return sorted(self._data)
 
     def get(self, name, /, **labels):
@@ -373,6 +400,7 @@ class MetricsSnapshot:
         return out
 
     def to_json(self, indent=2):
+        """:meth:`as_dict` as sorted, indented JSON text."""
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def __repr__(self):
@@ -404,14 +432,18 @@ class MetricsRegistry:
         return family
 
     def counter(self, name, help=""):
+        """The counter family ``name`` (created on first request)."""
         return self._family(name, "counter",
                             lambda: CounterFamily(name, help=help))
 
     def gauge(self, name, help=""):
+        """The gauge family ``name`` (created on first request)."""
         return self._family(name, "gauge",
                             lambda: GaugeFamily(name, help=help))
 
     def histogram(self, name, buckets=LATENCY_BUCKETS_NS, help=""):
+        """The histogram family ``name`` with ``buckets`` as inclusive
+        upper bounds (created on first request)."""
         return self._family(
             name, "histogram",
             lambda: HistogramFamily(name, buckets, help=help))
@@ -433,6 +465,7 @@ class MetricsRegistry:
         return MetricsSnapshot(data)
 
     def to_json(self, indent=2):
+        """A fresh snapshot as JSON text."""
         return self.snapshot().to_json(indent=indent)
 
     def render_text(self):

@@ -54,7 +54,7 @@ class _NullSpan:
     __slots__ = ()
 
     def end(self, **info):
-        pass
+        """Record nothing."""
 
 
 _NULL_SPAN = _NullSpan()
@@ -106,10 +106,12 @@ class NullTracer:
     """Tracer with the same surface and no effect (and no clock)."""
 
     def start(self, name, client="", **info):
+        """The shared null span: nothing is timed."""
         return _NULL_SPAN
 
     @contextmanager
     def measure(self, name, client="", **info):
+        """Context-manager form, yielding the null span."""
         yield _NULL_SPAN
 
 

@@ -1,6 +1,6 @@
-"""Deterministic domain-to-core placement policies.
+"""Deterministic domain-to-core placement.
 
-A placement policy answers one question: given the admitted CPU share on
+The placement policy answers one question: given the admitted CPU share on
 every core and a new contract of ``share`` of one CPU, which core should
 carry it? The answer must be
 
@@ -13,7 +13,7 @@ carry it? The answer must be
   :class:`PlacementError` before any scheduler state has been created,
   so admission refusal rolls back to exactly the pre-call state.
 
-The default policy is the online analogue of first-fit-decreasing: visit
+The policy is the online analogue of first-fit-decreasing: visit
 cores in decreasing order of admitted share and take the first that
 fits. Packing guarantees tightly is what makes both SMP gates work — it
 leaves whole cores free for later contracts (the 1→4 core scaling gate)
@@ -27,8 +27,6 @@ from hashlib import blake2b
 
 #: Admission arithmetic tolerance, matching Atropos's own admit() check.
 EPSILON = 1e-12
-
-_POLICIES = ("ffd", "spread")
 
 
 class PlacementError(ValueError):
@@ -57,28 +55,18 @@ def placement_draw(seed, name, count):
 
 
 class PlacementPolicy:
-    """Online placement of CPU contracts onto ``cpus`` cores.
+    """Online placement of CPU contracts onto ``cpus`` cores,
+    first-fit-decreasing by load: among cores that fit, take the
+    most-loaded one (packs guarantees tightly, keeps whole cores free).
 
-    ``policy`` selects the heuristic:
-
-    * ``"ffd"`` (default) — first-fit-decreasing by load: among cores
-      that fit, take the most-loaded one (packs guarantees tightly,
-      keeps whole cores free).
-    * ``"spread"`` — least-loaded first: among cores that fit, take the
-      emptiest one (maximises per-domain slack headroom).
-
-    Both break exact-load ties with :func:`placement_draw` so the
+    Exact-load ties break with :func:`placement_draw` so the
     assignment is a pure function of ``(seed, domain name, loads)``.
     """
 
-    def __init__(self, cpus, policy="ffd", seed=1999):
+    def __init__(self, cpus, seed=1999):
         if cpus < 1:
             raise ValueError("need at least one cpu, got %d" % cpus)
-        if policy not in _POLICIES:
-            raise ValueError("unknown placement policy %r (choose from %s)"
-                             % (policy, ", ".join(_POLICIES)))
         self.cpus = cpus
-        self.policy = policy
         self.seed = seed
 
     def choose(self, name, share, loads):
@@ -107,10 +95,7 @@ class PlacementPolicy:
                 "per-core contracts)"
                 % (name, share,
                    "/".join("%.4f" % load for load in loads), spare))
-        if self.policy == "ffd":
-            best = max(loads[index] for index in fits)
-        else:
-            best = min(loads[index] for index in fits)
+        best = max(loads[index] for index in fits)
         tied = [index for index in fits if loads[index] == best]
         if len(tied) == 1:
             return tied[0]

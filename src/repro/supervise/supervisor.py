@@ -3,7 +3,7 @@
 One watch process per supervised component, ticking every
 ``heartbeat_ns``. Each tick, in order: (1) probe ``alive()`` — a
 component that died on its own is handled exactly like an injected
-crash; (2) consult the crash injector (:mod:`repro.faults.crash`), so
+crash; (2) consult the crash plan (:mod:`repro.faults.crash`), so
 every injected kill lands at a deterministic heartbeat instant;
 (3) if healthy, ``checkpoint()``. A dead component is restarted under
 its :class:`~repro.supervise.policy.RestartPolicy` — backoff first,

@@ -63,8 +63,7 @@ class App:
         self.domain = domain
         self.frames = frames_client
         self.mmentry = MMEntry(domain, frames_client, system.pagetable,
-                               fault_timeout=system.fault_timeout,
-                               behavior=system.behavior_injector)
+                               fault_timeout=system.fault_timeout)
         self.drivers = []
         self.stretches = []
 
@@ -249,10 +248,7 @@ class App:
             swap = getattr(driver, "swap", None)
             if swap is None:
                 continue
-            attachments = getattr(swap, "attachments", None)
-            clients = (attachments() if attachments is not None
-                       else [swap.channel.usd_client])
-            for client in clients:
+            for client in swap.attachments():
                 # A multi-volume swap spans several USDs; each client
                 # records the service it was admitted to. Single-disk
                 # clients fall back to the system USD.
@@ -287,7 +283,7 @@ class NemesisSystem:
                  volume_placement="striped", volume_seed=1999,
                  integrity=False, scrub_interval=20 * MS,
                  integrity_threshold=4,
-                 cpus=0, placement="ffd", place_seed=1999):
+                 cpus=0, place_seed=1999):
         # Observability first: every subsystem below takes the registry.
         self.metrics = MetricsRegistry(enabled=metrics)
         self.sim = Simulator(metrics=self.metrics)
@@ -303,12 +299,9 @@ class NemesisSystem:
         self.pagetable = _PAGETABLES[pagetable](machine, self.meter)
         self.mmu = MMU(machine, self.pagetable, self.meter)
         self.disk = Disk(self.sim, geometry)
-        # Fault injection (None = a healthy disk; see the install_*
-        # methods) and the per-fault resolution watchdog that keeps a
-        # wedged disk from wedging a domain (None = disabled).
-        self.fault_injector = None
-        self.behavior_injector = None
-        self.corruption_injector = None
+        # The per-fault resolution watchdog that keeps a wedged disk
+        # from wedging a domain (None = disabled). Fault plans live where
+        # they are consulted; see the install_* methods.
         self.fault_timeout = fault_timeout
         # The integrity plane: when enabled, every paged/stream swap
         # backing is wrapped in a verifying ChecksummedSwap, each with
@@ -320,15 +313,14 @@ class NemesisSystem:
         self.integrity_swaps = []   # every ChecksummedSwap built
         self._escalator = None
         # Kernel + CPU. `cpus=N` builds N cores, each with its own Atropos
-        # run queue, with domain placement by `placement`/`place_seed`
-        # (see repro.place); `cpu="atropos"` is the one-core case, the
-        # paper's uniprocessor. Otherwise (cpus=0) `cpu` picks the FIFO
-        # or unlimited model.
+        # run queue, with first-fit-decreasing domain placement seeded by
+        # `place_seed` (see repro.place); `cpu="atropos"` is the one-core
+        # case, the paper's uniprocessor. Otherwise (cpus=0) `cpu` picks
+        # the FIFO or unlimited model.
         if cpu not in _CPUS:
             raise ValueError("cpu must be one of %s" % list(_CPUS))
         if cpus or cpu == "atropos":
-            self.cpu = AtroposCpu(self.sim, cpus=cpus or 1,
-                                  placement=placement, seed=place_seed,
+            self.cpu = AtroposCpu(self.sim, cpus=cpus or 1, seed=place_seed,
                                   metrics=self.metrics)
         elif cpu == "fifo":
             self.cpu = FifoCpu(self.sim)
@@ -392,38 +384,27 @@ class NemesisSystem:
     # -- construction -------------------------------------------------------
 
     def install_fault_plan(self, plan):
-        """Attach a :class:`~repro.faults.FaultPlan` to the disk.
+        """Attach a fresh :class:`~repro.faults.FaultPlan` to the disk
+        (as ``disk.injector``).
 
         May be called mid-run (a fault storm that starts later is just
         a plan whose rules have ``start_ns`` set). Passing ``None``
         heals the disk.
         """
-        from repro.faults import FaultInjector
-
-        if plan is None:
-            self.fault_injector = None
-        else:
-            self.fault_injector = FaultInjector(plan, metrics=self.metrics)
-        self.disk.injector = self.fault_injector
-        return self.fault_injector
+        self.disk.injector = (None if plan is None
+                              else plan.bind(self.metrics))
 
     def install_corruption_plan(self, plan):
-        """Attach a :class:`~repro.faults.CorruptPlan` to the disk.
+        """Attach a fresh :class:`~repro.faults.CorruptPlan` to the disk
+        (as ``disk.corruptor``).
 
         Corruption is *silent*: affected reads complete with STATUS_OK
         and wrong data, invisible to retries and watchdogs — only the
         integrity plane's end-to-end checksums can tell. ``None`` heals
         the disk.
         """
-        from repro.faults import CorruptionInjector
-
-        if plan is None:
-            self.corruption_injector = None
-        else:
-            self.corruption_injector = CorruptionInjector(
-                plan, metrics=self.metrics)
-        self.disk.corruptor = self.corruption_injector
-        return self.corruption_injector
+        self.disk.corruptor = (None if plan is None
+                               else plan.bind(self.metrics))
 
     def _wrap_swap(self, swap):
         """Wrap a freshly created swap backing in the integrity plane.
@@ -457,22 +438,14 @@ class NemesisSystem:
         return wrapped
 
     def install_behavior_plan(self, plan):
-        """Attach a :class:`~repro.faults.BehaviorPlan`: hostile-domain
+        """Attach a fresh :class:`~repro.faults.BehaviorPlan` to the
+        frames allocator (as ``frames_allocator.behavior``): hostile-domain
         rules consulted at the MMEntry revocation channel and the
         frames-client request path. Passing ``None`` makes every domain
         cooperative again. Applies to existing and future apps.
         """
-        from repro.faults import BehaviorInjector
-
-        if plan is None:
-            self.behavior_injector = None
-        else:
-            self.behavior_injector = BehaviorInjector(plan,
-                                                      metrics=self.metrics)
-        self.frames_allocator.behavior = self.behavior_injector
-        for app in self.apps:
-            app.mmentry.behavior = self.behavior_injector
-        return self.behavior_injector
+        self.frames_allocator.behavior = (None if plan is None
+                                          else plan.bind(self.metrics))
 
     def new_app(self, name, guaranteed_frames, extra_frames=0,
                 cpu_qos=None):

@@ -177,19 +177,6 @@ class VolumeManager:
         self.backings.append(swap)
         return swap
 
-    def install_fault_plan(self, index, plan):
-        """Attach a disk-scoped fault plan to one volume (None heals)."""
-        return self.volumes[index].install_fault_plan(plan,
-                                                      metrics=self.metrics)
-
-    def install_corruption_plan(self, index, plan):
-        """Attach a disk-scoped corruption plan to one volume (None
-        heals). Silent corruption never trips the exposure-based
-        health monitor — only the integrity plane's detections can
-        escalate a silently-failing volume into :meth:`degrade`."""
-        return self.volumes[index].install_corruption_plan(
-            plan, metrics=self.metrics)
-
     # -- health monitoring ---------------------------------------------------
 
     def _monitor_loop(self):

@@ -82,21 +82,14 @@ class Volume:
 
     # -- fault plane -------------------------------------------------------
 
-    def install_fault_plan(self, plan, metrics=None):
-        """Attach a disk-scoped :class:`~repro.faults.FaultPlan`.
+    def install_fault_plan(self, plan):
+        """Attach a fresh disk-scoped :class:`~repro.faults.FaultPlan`.
 
         Each volume owns its disk, so plans are volume-scoped by
-        construction; ``None`` heals the disk. Returns the injector (or
-        ``None``).
+        construction; ``None`` heals the disk.
         """
-        from repro.faults import FaultInjector
-
-        if plan is None:
-            self.disk.injector = None
-        else:
-            self.disk.injector = FaultInjector(
-                plan, metrics=metrics if metrics is not None else self.metrics)
-        return self.disk.injector
+        self.disk.injector = (None if plan is None
+                              else plan.bind(self.metrics))
 
     def fault_exposure(self):
         """Faults injected into this volume's disk so far.
@@ -107,21 +100,17 @@ class Volume:
         injector = self.disk.injector
         return injector.injected if injector is not None else 0
 
-    def install_corruption_plan(self, plan, metrics=None):
-        """Attach a disk-scoped :class:`~repro.faults.CorruptPlan`.
+    def install_corruption_plan(self, plan):
+        """Attach a fresh disk-scoped :class:`~repro.faults.CorruptPlan`.
 
         Same per-volume scoping as :meth:`install_fault_plan`: silent
-        corruption on one spindle cannot touch another's transactions.
-        ``None`` heals the disk. Returns the injector (or ``None``).
+        corruption on one spindle cannot touch another's transactions
+        (and never trips the exposure-based health monitor — only the
+        integrity plane's detections can escalate a silently-failing
+        volume). ``None`` heals the disk.
         """
-        from repro.faults import CorruptionInjector
-
-        if plan is None:
-            self.disk.corruptor = None
-        else:
-            self.disk.corruptor = CorruptionInjector(
-                plan, metrics=metrics if metrics is not None else self.metrics)
-        return self.disk.corruptor
+        self.disk.corruptor = (None if plan is None
+                               else plan.bind(self.metrics))
 
     def corruption_exposure(self):
         """Silent corruptions injected into this volume's reads so far

@@ -44,6 +44,22 @@ class File:
         """Total file size in bytes (whole bloks)."""
         return self.nbloks * self.machine.page_size
 
+    # -- stream selection (the swap-backing surface paged drivers use) --
+
+    def slot_for(self, blok, kind=READ):
+        """The flow-control event gating an access to ``blok``: a file
+        has one stream, so every page gates on its channel."""
+        return self.channel.slot()
+
+    def can_accept(self, blok, kind=READ, reserve=1):
+        """True when a speculative access to ``blok`` may be submitted
+        while keeping ``reserve`` channel slots free for demand."""
+        return self.channel.outstanding < self.channel.depth - reserve
+
+    def attachments(self):
+        """The USD stream this file holds (teardown inventory)."""
+        return [self.channel.usd_client]
+
     def _lba(self, index):
         if not 0 <= index < self.nbloks:
             raise ExtentError("page %d outside file %s" % (index, self.name))

@@ -64,7 +64,7 @@ class TestTransientRecovery:
         thread = app.spawn(walker(stretch, progress))
         system.run(10 * SEC)
         usd_client = driver.swap.channel.usd_client
-        assert system.fault_injector.injected > 0
+        assert system.disk.injector.injected > 0
         assert usd_client.retries > 0
         assert usd_client.failures == 0
         assert driver.pages_lost == 0
@@ -74,7 +74,7 @@ class TestTransientRecovery:
         assert snap.get("usd_retries_total",
                         client=driver.name) == usd_client.retries
         assert snap.total("faults_injected_total") \
-            == system.fault_injector.injected
+            == system.disk.injector.injected
 
     def test_retry_time_is_charged_to_the_faulty_stream(self, system):
         """Retries run inside the owning stream's measured work item:

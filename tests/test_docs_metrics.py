@@ -1,8 +1,15 @@
-"""docs/PAPER_MAP.md lists the metric families a run records: every
+"""The docs name only what the code has.
+
+docs/PAPER_MAP.md lists the metric families a run records: every
 name in the first column of its "Metric | Paper concept" table must
 be registered somewhere in ``src/repro``, so the table cannot document
-a metric that no run produces."""
+a metric that no run produces. And every backticked dotted
+``repro.…`` name in README.md, DESIGN.md, EXPERIMENTS.md and docs/
+must resolve to a module or an attribute, so no doc points a reader
+at a class, method or module that is gone."""
 
+import glob
+import importlib
 import os
 import re
 
@@ -46,3 +53,38 @@ def test_every_documented_metric_family_is_registered():
                if '"%s"' % name not in source
                and "'%s'" % name not in source]
     assert missing == []
+
+
+def _documented_names():
+    """Every backticked dotted ``repro.…`` name in the prose docs."""
+    paths = [os.path.join(ROOT, name)
+             for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    paths += sorted(glob.glob(os.path.join(ROOT, "docs", "*.md")))
+    names = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            names.update(re.findall(r"`(repro(?:\.\w+)+)`", handle.read()))
+    return sorted(names)
+
+
+def _resolves(name):
+    """Import the longest module prefix of ``name``, then look up the
+    rest as attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_every_documented_repro_name_resolves():
+    names = _documented_names()
+    assert len(names) >= 100         # the docs were found and parsed
+    assert [name for name in names if not _resolves(name)] == []

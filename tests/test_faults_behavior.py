@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import (ALLOC_THRASH, BEHAVIOR_KINDS, REVOKE_LIE,
                           REVOKE_PARTIAL, REVOKE_SILENT, REVOKE_SLOW,
-                          BehaviorInjector, BehaviorPlan, BehaviorRule)
+                          BehaviorPlan, BehaviorRule)
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.units import MS, SEC
 
@@ -30,6 +30,13 @@ class TestBehaviorRule:
     def test_thrash_factor_floor(self):
         with pytest.raises(ValueError):
             BehaviorRule(kind=ALLOC_THRASH, thrash_factor=0)
+
+    def test_bad_time_window_rejected(self):
+        with pytest.raises(ValueError, match="start_ns"):
+            BehaviorRule(kind=REVOKE_SILENT, start_ns=-1)
+        with pytest.raises(ValueError, match="end_ns"):
+            BehaviorRule(kind=REVOKE_SILENT, start_ns=2 * SEC,
+                         end_ns=1 * SEC)
 
     def test_applies_scopes_domain_and_window(self):
         rule = BehaviorRule(kind=REVOKE_SILENT, domain="hog",
@@ -58,7 +65,8 @@ class TestBehaviorPlan:
         plan = BehaviorPlan(seed=1, rules=(
             BehaviorRule(kind=ALLOC_THRASH, domain="a"),))
         assert plan.revocation_decision("a", 0) is None
-        assert plan.alloc_decision("a", 0).kind == ALLOC_THRASH
+        assert plan.alloc_count("a", 0, count=1, room=100) == 8
+        assert plan.observed.counts == {0: 1}
 
     def test_no_matching_rule_means_cooperative(self):
         plan = BehaviorPlan(seed=1, rules=(
@@ -68,31 +76,29 @@ class TestBehaviorPlan:
     def test_rate_zero_never_fires(self):
         plan = BehaviorPlan(seed=1, rules=(
             BehaviorRule(kind=REVOKE_SILENT, rate=0.0),))
-        assert all(plan.revocation_decision("d", now, seq) is None
+        assert all(plan.revocation_decision("d", now) is None
                    for now in range(0, 10 * MS, MS)
-                   for seq in range(10))
+                   for _ in range(10))
 
     def test_rate_one_always_fires(self):
         plan = BehaviorPlan(seed=1, rules=(
             BehaviorRule(kind=REVOKE_SILENT, rate=1.0),))
-        assert all(plan.revocation_decision("d", now, seq) is not None
+        assert all(plan.revocation_decision("d", now) is not None
                    for now in range(0, 10 * MS, MS)
-                   for seq in range(10))
+                   for _ in range(10))
 
     def test_partial_rate_deterministic(self):
-        plan = BehaviorPlan(seed=42, rules=(
-            BehaviorRule(kind=REVOKE_SILENT, rate=0.5),))
-        draws = [plan.revocation_decision("d", now, seq) is not None
-                 for now in range(0, 100 * MS, MS) for seq in range(3)]
-        again = [plan.revocation_decision("d", now, seq) is not None
-                 for now in range(0, 100 * MS, MS) for seq in range(3)]
-        assert draws == again                    # pure function of inputs
-        assert any(draws) and not all(draws)     # genuinely partial
-        other_seed = [BehaviorPlan(seed=43, rules=plan.rules)
-                      .revocation_decision("d", now, seq) is not None
-                      for now in range(0, 100 * MS, MS)
-                      for seq in range(3)]
-        assert draws != other_seed               # the seed matters
+        rules = (BehaviorRule(kind=REVOKE_SILENT, rate=0.5),)
+
+        def draws(seed):
+            plan = BehaviorPlan(seed=seed, rules=rules)
+            return [plan.revocation_decision("d", now) is not None
+                    for now in range(0, 100 * MS, MS) for _ in range(3)]
+
+        first = draws(42)
+        assert first == draws(42)                # pure function of inputs
+        assert any(first) and not all(first)     # genuinely partial
+        assert first != draws(43)                # the seed matters
 
     def test_decision_carries_rule_parameters(self):
         plan = BehaviorPlan(seed=1, rules=(
@@ -104,15 +110,14 @@ class TestBehaviorPlan:
         assert decision.thrash_factor == 3
 
 
-class TestBehaviorInjector:
+class TestBehaviorState:
     def test_counts_injections_by_kind_and_domain(self):
         metrics = MetricsRegistry()
-        injector = BehaviorInjector(BehaviorPlan(seed=1, rules=(
-            BehaviorRule(kind=REVOKE_SILENT, domain="hog"),)),
-            metrics=metrics)
-        assert injector.revocation_decision("hog", 0) is not None
-        assert injector.revocation_decision("polite", 0) is None
-        assert injector.injected == 1
+        plan = BehaviorPlan(seed=1, rules=(
+            BehaviorRule(kind=REVOKE_SILENT, domain="hog"),)).bind(metrics)
+        assert plan.revocation_decision("hog", 0) is not None
+        assert plan.revocation_decision("polite", 0) is None
+        assert plan.injected == 1
         assert metrics.counter("behavior_faults_injected_total").get(
             kind=REVOKE_SILENT, domain="hog") == 1
 
@@ -121,22 +126,21 @@ class TestBehaviorInjector:
         independent draws (the per-domain sequence sees to it)."""
         plan = BehaviorPlan(seed=9, rules=(
             BehaviorRule(kind=REVOKE_SILENT, rate=0.5),))
-        injector = BehaviorInjector(plan)
-        outcomes = {injector.revocation_decision("d", 0) is not None
+        outcomes = {plan.revocation_decision("d", 0) is not None
                     for _ in range(64)}
         assert outcomes == {True, False}
 
     def test_alloc_count_inflates_and_caps(self):
-        injector = BehaviorInjector(BehaviorPlan(seed=1, rules=(
-            BehaviorRule(kind=ALLOC_THRASH, thrash_factor=8),)))
-        assert injector.alloc_count("d", 0, count=2, room=100) == 16
-        assert injector.alloc_count("d", 0, count=2, room=5) == 5
-        assert injector.alloc_count("d", 0, count=2, room=0) == 2
-        assert injector.alloc_count("d", 0, count=2, room=-3) == 2
+        plan = BehaviorPlan(seed=1, rules=(
+            BehaviorRule(kind=ALLOC_THRASH, thrash_factor=8),))
+        assert plan.alloc_count("d", 0, count=2, room=100) == 16
+        assert plan.alloc_count("d", 0, count=2, room=5) == 5
+        assert plan.alloc_count("d", 0, count=2, room=0) == 2
+        assert plan.alloc_count("d", 0, count=2, room=-3) == 2
 
     def test_alloc_count_cooperative_passthrough(self):
-        injector = BehaviorInjector(BehaviorPlan(seed=1, rules=()))
-        assert injector.alloc_count("d", 0, count=3, room=100) == 3
+        plan = BehaviorPlan(seed=1, rules=())
+        assert plan.alloc_count("d", 0, count=3, room=100) == 3
 
     def test_kind_constants_cover_plan(self):
         assert set(BEHAVIOR_KINDS) == {REVOKE_SLOW, REVOKE_SILENT,

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.faults.corrupt import (BIT_FLIP, CORRUPT_KINDS,
                                   MISDIRECTED_WRITE, TORN_WRITE,
-                                  CorruptionInjector, CorruptPlan,
-                                  CorruptRule, extent_corruption)
+                                  CorruptPlan, CorruptRule,
+                                  extent_corruption)
 from repro.hw.disk import READ, DiskRequest
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.units import MS
@@ -42,6 +42,8 @@ class TestRuleValidation:
     def test_bad_time_window_refused(self):
         with pytest.raises(ValueError):
             CorruptRule(kind=BIT_FLIP, start_ns=5, end_ns=5)
+        with pytest.raises(ValueError):
+            CorruptRule(kind=BIT_FLIP, start_ns=-1)
 
 
 class TestKindSemantics:
@@ -61,25 +63,29 @@ class TestKindSemantics:
         re-draws."""
         plan = CorruptPlan(seed=3, rules=(
             CorruptRule(kind=TORN_WRITE, rate=0.5),))
-        for generation in range(8):
-            decisions = {plan.decide_read(_req(100), now,
-                                          generation=generation) is not None
+        for _ in range(8):
+            decisions = {plan.decide_read(_req(100), now) is not None
                          for now in range(0, 10 * MS, MS)}
             assert len(decisions) == 1   # constant across read times
-        by_generation = {g: plan.decide_read(_req(100), 0,
-                                             generation=g) is not None
-                         for g in range(64)}
-        assert set(by_generation.values()) == {True, False}
+            plan.note_write(_req(100), 10 * MS)
+        by_generation = set()
+        for _ in range(64):
+            by_generation.add(plan.decide_read(_req(100), 0) is not None)
+            plan.note_write(_req(100), 0)
+        assert by_generation == {True, False}
 
     def test_draws_are_pure_functions_of_the_seed(self):
-        for kind in CORRUPT_KINDS:
+        def reads(kind):
             plan = CorruptPlan(seed=11, rules=(
                 CorruptRule(kind=kind, rate=0.3),))
-            a = [plan.decide_read(_req(lba), 5 * MS, generation=2)
-                 for lba in range(0, 1024, 8)]
-            b = [plan.decide_read(_req(lba), 5 * MS, generation=2)
-                 for lba in range(0, 1024, 8)]
-            assert a == b
+            for lba in range(0, 1024, 8):
+                plan.note_write(_req(lba), 0)
+                plan.note_write(_req(lba), MS)
+            return [plan.decide_read(_req(lba), 5 * MS)
+                    for lba in range(0, 1024, 8)]
+
+        for kind in CORRUPT_KINDS:
+            assert reads(kind) == reads(kind)
 
     def test_explicit_blocks_corrupt_unconditionally(self):
         plan = CorruptPlan(seed=1, rules=(
@@ -90,36 +96,32 @@ class TestKindSemantics:
         assert plan.decide_read(_req(200), 0) is None
 
     def test_first_firing_rule_wins_but_audit_sees_all(self):
-        from repro.faults.plan import FireRecorder
         plan = CorruptPlan(seed=1, rules=(
             CorruptRule(kind=TORN_WRITE, blocks=(100,)),
             CorruptRule(kind=BIT_FLIP, blocks=(100,)),))
-        observed = FireRecorder()
-        decision = plan.decide_read(_req(100), 0, observed=observed)
+        decision = plan.decide_read(_req(100), 0)
         assert decision.rule_index == 0 and decision.kind == TORN_WRITE
-        assert observed == {0, 1}
-        assert observed.counts == {0: 1, 1: 1}
+        assert plan.observed == {0, 1}
+        assert plan.observed.counts == {0: 1, 1: 1}
 
 
 class TestInjector:
     def test_note_write_advances_the_generation(self):
-        injector = CorruptionInjector(CorruptPlan(seed=1))
-        assert injector.generation(100) == 0
-        injector.note_write(_req(100), 0)
-        injector.note_write(_req(100), MS)
-        assert injector.generation(100) == 2
-        assert injector.generation(200) == 0
+        plan = CorruptPlan(seed=1)
+        assert plan.generation(100) == 0
+        plan.note_write(_req(100), 0)
+        plan.note_write(_req(100), MS)
+        assert plan.generation(100) == 2
+        assert plan.generation(200) == 0
 
     def test_injected_count_and_metrics(self):
         metrics = MetricsRegistry()
-        injector = CorruptionInjector(
-            CorruptPlan(seed=1, rules=(
-                CorruptRule(kind=BIT_FLIP, blocks=(100,)),)),
-            metrics=metrics)
-        assert injector.decide_read(_req(100), 0) is not None
-        assert injector.decide_read(_req(200), 0) is None
-        assert injector.injected == 1
-        assert injector.observed.counts == {0: 1}
+        plan = CorruptPlan(seed=1, rules=(
+            CorruptRule(kind=BIT_FLIP, blocks=(100,)),)).bind(metrics)
+        assert plan.decide_read(_req(100), 0) is not None
+        assert plan.decide_read(_req(200), 0) is None
+        assert plan.injected == 1
+        assert plan.observed.counts == {0: 1}
         snap = metrics.snapshot()
         assert snap.total("corruptions_injected_total",
                           kind=BIT_FLIP) == 1
@@ -145,7 +147,9 @@ class TestExtentIsolation:
         req = _req(lba)
         if req.end > extent.start and req.lba < extent.end:
             return   # overlaps the victim extent: fair game
-        assert plan.decide_read(req, now, generation=generation) is None
+        for _ in range(generation):
+            plan.note_write(req, now)
+        assert plan.decide_read(req, now) is None
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -8,7 +8,7 @@ keyed-BLAKE2b determinism and ``max_crashes`` budget enforcement.
 
 import pytest
 
-from repro.faults import CrashInjector, CrashPlan, CrashRule
+from repro.faults import CrashPlan, CrashRule
 from repro.sim.units import MS, SEC
 
 
@@ -53,8 +53,8 @@ class TestCrashPlan:
 
         def storm(seed):
             plan = CrashPlan(seed=seed, rules=rules)
-            return [plan.decide("pager:a", tick * 100 * MS, seq=tick)
-                    is not None for tick in range(200)]
+            return [plan.decide("pager:a", tick * 100 * MS) is not None
+                    for tick in range(200)]
 
         first = storm(11)
         assert first == storm(11)
@@ -67,39 +67,33 @@ class TestCrashPlan:
             CrashRule(component="usd"),
             CrashRule(component=None),
         ))
-        observed = set()
-        decision = plan.decide("usd", 0, observed=observed)
+        decision = plan.decide("usd", 0)
         assert decision.rule_index == 0
-        assert observed == {0, 1}   # the audit sees both firing
+        assert plan.observed == {0, 1}   # the audit sees both firing
 
     def test_max_crashes_budget_enforced_through_fired(self):
         plan = CrashPlan(seed=1, rules=(
             CrashRule(component="volume:0", max_crashes=2),))
-        fired = {}
-        kills = [plan.decide("volume:0", tick * SEC, fired=fired)
-                 for tick in range(5)]
+        kills = [plan.decide("volume:0", tick * SEC) for tick in range(5)]
         assert [k is not None for k in kills] == [True, True, False,
                                                  False, False]
-        assert fired == {0: 2}
+        assert plan.fired == {0: 2}
 
     def test_max_crashes_zero_is_unlimited(self):
         plan = CrashPlan(seed=1, rules=(
             CrashRule(component="usd", max_crashes=0),))
-        fired = {}
-        assert all(plan.decide("usd", tick * SEC, fired=fired)
-                   for tick in range(10))
+        assert all(plan.decide("usd", tick * SEC) for tick in range(10))
 
 
-class TestCrashInjector:
+class TestCrashState:
     def test_injector_tracks_observed_fired_and_sequence(self):
         plan = CrashPlan(seed=1, rules=(
             CrashRule(component="usd", max_crashes=1),))
-        injector = CrashInjector(plan)
-        assert injector.decide("balancer", 0) is None
-        assert injector.decide("usd", 100 * MS) is not None
-        assert injector.decide("usd", 200 * MS) is None   # budget spent
-        assert injector.injected == 1
-        assert injector.observed == {0}
-        assert injector.fired == {0: 1}
+        assert plan.decide("balancer", 0) is None
+        assert plan.decide("usd", 100 * MS) is not None
+        assert plan.decide("usd", 200 * MS) is None   # budget spent
+        assert plan.injected == 1
+        assert plan.observed == {0}
+        assert plan.fired == {0: 1}
         # Heartbeat sequence numbers advance per component.
-        assert injector._seq == {"balancer": 1, "usd": 2}
+        assert plan._seq == {"balancer": 1, "usd": 2}

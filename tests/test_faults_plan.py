@@ -10,7 +10,6 @@ from repro.faults import (
     STATUS_TIMEOUT,
     STUCK,
     TRANSIENT,
-    FaultInjector,
     FaultPlan,
     FaultRule,
 )
@@ -105,6 +104,10 @@ class TestScoping:
             FaultRule(kind="meteor")
         with pytest.raises(ValueError):
             FaultRule(kind=TRANSIENT, rate=1.5)
+        with pytest.raises(ValueError, match="start_ns"):
+            FaultRule(kind=TRANSIENT, start_ns=-1)
+        with pytest.raises(ValueError, match="end_ns"):
+            FaultRule(kind=TRANSIENT, start_ns=5, end_ns=5)
 
 
 class TestPrecedence:
@@ -142,8 +145,8 @@ class TestPrecedence:
 
 class TestDiskIntegration:
     def test_failed_transaction_returns_error_result(self, sim):
-        injector = FaultInjector(FaultPlan(seed=1, rules=(
-            FaultRule(kind=TRANSIENT, rate=1.0),)))
+        injector = FaultPlan(seed=1, rules=(
+            FaultRule(kind=TRANSIENT, rate=1.0),))
         disk = Disk(sim, injector=injector)
         result = sim.run_until_triggered(
             sim.spawn(disk.transaction(req())), limit=1 * SEC)
@@ -154,8 +157,8 @@ class TestDiskIntegration:
         assert disk.stats_reads == 0      # nothing was committed
 
     def test_stuck_transaction_costs_the_wedge_time(self, sim):
-        injector = FaultInjector(FaultPlan(seed=1, rules=(
-            FaultRule(kind=STUCK, rate=1.0, stuck_ns=100 * MS),)))
+        injector = FaultPlan(seed=1, rules=(
+            FaultRule(kind=STUCK, rate=1.0, stuck_ns=100 * MS),))
         disk = Disk(sim, injector=injector)
         result = sim.run_until_triggered(
             sim.spawn(disk.transaction(req())), limit=1 * SEC)
@@ -164,8 +167,8 @@ class TestDiskIntegration:
 
     def test_injector_counts_by_kind_and_client(self, sim):
         metrics = MetricsRegistry()
-        injector = FaultInjector(FaultPlan(seed=1, rules=(
-            FaultRule(kind=TRANSIENT, rate=1.0),)), metrics=metrics)
+        injector = FaultPlan(seed=1, rules=(
+            FaultRule(kind=TRANSIENT, rate=1.0),)).bind(metrics)
         disk = Disk(sim, injector=injector)
         sim.run_until_triggered(
             sim.spawn(disk.transaction(req(client="victim"))),

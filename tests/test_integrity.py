@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.corrupt import (BIT_FLIP, CORRUPT_KINDS, TORN_WRITE,
-                                  CorruptionInjector, CorruptPlan,
-                                  CorruptRule)
+                                  CorruptPlan, CorruptRule)
 from repro.hw.disk import Disk, READ
 from repro.hw.platform import Machine
 from repro.integrity import (ChecksummedSwap, CorruptDataError, Scrubber,
@@ -323,9 +322,9 @@ class TestRepairRetryRegression:
         sim = Simulator()
         machine = Machine()
         partition = Partition("swap", 100_000, 64 * 8)
-        injector = CorruptionInjector(CorruptPlan(seed=5, rules=(
+        injector = CorruptPlan(seed=5, rules=(
             CorruptRule(kind=TORN_WRITE,
-                        blocks=(100_000,)),)))   # blok 0, unconditionally
+                        blocks=(100_000,)),))   # blok 0, unconditionally
         disk = Disk(sim, corruptor=injector)
         usd = USD(sim, disk)
         sfs = SwapFileSystem(sim, usd, machine, partition)

@@ -42,11 +42,10 @@ class TestSchema:
         mission["expect"] = []
         normalised = validate_mission(mission)
         assert normalised["topology"]["cpus"] == 0
-        assert normalised["topology"]["placement"] == "ffd"
 
     def test_placement_choices_enforced(self):
         mission = smp_mission()
-        mission["topology"]["placement"] = "random"
+        mission["topology"]["volume_placement"] = "random"
         with pytest.raises(MissionError):
             validate_mission(mission)
 

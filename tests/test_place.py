@@ -34,10 +34,6 @@ class TestPlacementPolicy:
         # 0.6 no longer fits; the next most-loaded core wins.
         assert policy.choose("b", 0.5, [0.6, 0.2, 0.0]) == 1
 
-    def test_spread_picks_least_loaded(self):
-        policy = PlacementPolicy(3, policy="spread")
-        assert policy.choose("a", 0.3, [0.6, 0.2, 0.0]) == 2
-
     def test_tie_break_is_deterministic(self):
         policy = PlacementPolicy(4, seed=7)
         first = policy.choose("a", 0.5, [0.0, 0.0, 0.0, 0.0])
@@ -62,6 +58,4 @@ class TestPlacementPolicy:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             PlacementPolicy(0)
-        with pytest.raises(ValueError):
-            PlacementPolicy(2, policy="random")
 

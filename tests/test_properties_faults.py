@@ -16,7 +16,6 @@ from repro.faults import (
     LATENCY,
     STUCK,
     TRANSIENT,
-    FaultInjector,
     FaultPlan,
     FaultRule,
 )
@@ -60,8 +59,7 @@ class TestFaultIsolation:
     def test_non_faulty_stream_keeps_its_guarantee(self, seed, rules):
         sim = Simulator()
         metrics = MetricsRegistry()
-        injector = FaultInjector(FaultPlan(seed=seed, rules=tuple(rules)),
-                                 metrics=metrics)
+        injector = FaultPlan(seed=seed, rules=tuple(rules)).bind(metrics)
         usd = USD(sim, Disk(sim, injector=injector), metrics=metrics)
         good = usd.admit("good", QoSSpec(period_ns=PERIOD, slice_ns=SLICE,
                                          laxity_ns=5 * MS))
@@ -112,11 +110,11 @@ class TestFaultIsolation:
         identical final accounting."""
         def run_once():
             sim = Simulator()
-            injector = FaultInjector(FaultPlan(seed=seed, rules=(
+            injector = FaultPlan(seed=seed, rules=(
                 FaultRule(kind=TRANSIENT, rate=0.3,
                           lba_start=VICTIM_START, lba_end=VICTIM_END),
                 FaultRule(kind=BAD_BLOCK, rate=0.002,
-                          lba_start=VICTIM_START, lba_end=VICTIM_END),)))
+                          lba_start=VICTIM_START, lba_end=VICTIM_END),))
             usd = USD(sim, Disk(sim, injector=injector))
             client = usd.admit("victim", QoSSpec(period_ns=PERIOD,
                                                  slice_ns=SLICE,

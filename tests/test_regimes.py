@@ -169,6 +169,49 @@ class TestSegDriver:
         assert extent.limit == stretch.npages
         assert driver.extent_grows == 1
 
+    def test_fault_past_a_taken_tail_replaces_the_extent(self, system):
+        """The shrunk tail's frames now belong to another domain, so
+        the extent cannot regrow in place: the driver tears it down
+        and installs a whole new one elsewhere."""
+        app, stretch, driver = seg_app(system)
+        run_thread(system, app, touching(stretch, stretch.npages))
+        drain(driver.release_frames(4))
+        extent = driver.seg.extent_of(stretch.sid)
+        tail = [extent.base_pfn + extent.limit + i for i in range(4)]
+        for pfn in tail:
+            app.frames.free(pfn)
+        other = system.new_app("other", guaranteed_frames=4)
+        assert other.frames.alloc_now(pfns=tail) == tail
+        thread = run_thread(system, app, touching(stretch, stretch.npages))
+        assert thread.done.triggered
+        assert driver.extent_replaces == 1
+        assert driver.extent_installs == 2
+        extent = driver.seg.extent_of(stretch.sid)
+        assert extent is not None and extent.limit == stretch.npages
+        for index in range(stretch.npages):
+            vpn = stretch.base_vpn + index
+            assert driver.seg.resolve(vpn) is extent
+            pfn = extent.pfn_of(vpn)
+            assert system.ramtab.owner(pfn) is app.domain
+            assert system.ramtab.mapped_vpn(pfn) == vpn
+        assert all(system.ramtab.owner(pfn) is other.domain for pfn in tail)
+
+    def test_shutdown_reclaims_an_installed_extent(self, system):
+        """Tearing down a domain that holds an extent truncates the
+        extent away and returns every frame unmapped to the pool."""
+        app, stretch, driver = seg_app(system)
+        run_thread(system, app, touching(stretch, stretch.npages))
+        extent = driver.seg.extent_of(stretch.sid)
+        pfns = [extent.base_pfn + index for index in range(extent.limit)]
+        app.shutdown()
+        assert driver.seg.extent_of(stretch.sid) is None
+        for index in range(stretch.npages):
+            assert driver.seg.resolve(stretch.base_vpn + index) is None
+        for pfn in pfns:
+            assert system.physmem.is_free(pfn)
+            assert system.ramtab.owner(pfn) is None
+            assert system.ramtab.mapped_vpn(pfn) is None
+
     def test_revocation_ladder_shrinks_then_refault_recovers(self):
         """End to end: a guaranteed request elsewhere shrinks the seg
         domain's extent through the ordinary ladder; the seg domain

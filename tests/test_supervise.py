@@ -12,7 +12,7 @@ volume drain-and-retire — lives in the crash-recovery missions and
 import pytest
 
 from repro.apps.pager_app import KB, PagingApplication
-from repro.faults import CrashInjector, CrashPlan, CrashRule
+from repro.faults import CrashPlan, CrashRule
 from repro.mm.balancer import MemoryBalancer
 from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
@@ -99,9 +99,9 @@ class TestSupervisorRestart:
         window; the restart lands one backoff later and the recovery
         window brackets exactly that span."""
         sim = Simulator()
-        injector = CrashInjector(CrashPlan(seed=1, rules=(
+        injector = CrashPlan(seed=1, rules=(
             CrashRule(component="fake", start_ns=1 * SEC,
-                      max_crashes=1),)))
+                      max_crashes=1),))
         supervisor = Supervisor(sim, heartbeat_ns=100 * MS,
                                 policy=RestartPolicy(backoff_ns=100 * MS),
                                 injector=injector)
@@ -146,9 +146,9 @@ class TestEscalationLadder:
     def _storm(self, component):
         """Unlimited rate-1.0 kills against ``component`` from t=0."""
         sim = Simulator()
-        injector = CrashInjector(CrashPlan(seed=1, rules=(
+        injector = CrashPlan(seed=1, rules=(
             CrashRule(component=component.component_id,
-                      max_crashes=0),)))
+                      max_crashes=0),))
         supervisor = Supervisor(
             sim, heartbeat_ns=100 * MS,
             policy=RestartPolicy(backoff_ns=100 * MS, max_restarts=2,
@@ -223,8 +223,8 @@ class TestComponentAdapters:
         component = BalancerComponent(
             balancer,
             lambda snapshot: MemoryBalancer(system, warm_start=snapshot))
-        injector = CrashInjector(CrashPlan(seed=1, rules=(
-            CrashRule(component="balancer", start_ns=1200 * MS),)))
+        injector = CrashPlan(seed=1, rules=(
+            CrashRule(component="balancer", start_ns=1200 * MS),))
         supervisor = Supervisor(system.sim, heartbeat_ns=100 * MS,
                                 policy=RestartPolicy(max_restarts=0),
                                 injector=injector)

@@ -165,7 +165,7 @@ class TestDegradedVolumePath:
         assert run_traffic(sim, other, range(other.nbloks)) == []
         # A permanent full-rate storm: every drain read fails its whole
         # retry ladder, so every blok of the victim backing is lost.
-        manager.install_fault_plan(victim.index, disk_storm(7, 1.0))
+        victim.install_fault_plan(disk_storm(7, 1.0))
         manager.degrade(victim)
         deadline = sim.now + 300 * SEC
         while manager.drains_done < 1 and sim.now < deadline:
@@ -176,7 +176,7 @@ class TestDegradedVolumePath:
         with pytest.raises(BlokLostError):
             sim.run_until_triggered(swap.read(0), limit=1 * SEC)
         # A fresh write resurrects the blok on the replacement shard.
-        manager.install_fault_plan(victim.index, None)
+        victim.install_fault_plan(None)
         assert run_traffic(sim, swap, [0]) == []
         assert run_traffic(sim, swap, [0], kind=READ) == []
 
@@ -201,7 +201,7 @@ class TestDegradedVolumePath:
         swap = manager.create_backing("a", swap_bytes(machine, 8), QOS)
         victim = swap.slots[0].volume
         assert run_traffic(sim, swap, range(swap.nbloks)) == []
-        manager.install_fault_plan(victim.index, disk_storm(7, 1.0))
+        victim.install_fault_plan(disk_storm(7, 1.0))
 
         def hammer():
             blok = 0

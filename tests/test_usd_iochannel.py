@@ -3,7 +3,7 @@ completion ordering, and slot release on failure."""
 
 import pytest
 
-from repro.faults import TRANSIENT, FaultInjector, FaultPlan, FaultRule
+from repro.faults import TRANSIENT, FaultPlan, FaultRule
 from repro.hw.disk import Disk, DiskRequest, READ
 from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
@@ -96,8 +96,8 @@ class TestFailureAccounting:
     def test_failed_transactions_release_their_slots(self, sim):
         """A fault storm must not leak channel capacity: failures free
         slots exactly like successes, and are counted separately."""
-        injector = FaultInjector(FaultPlan(seed=1, rules=(
-            FaultRule(kind=TRANSIENT, rate=1.0),)))
+        injector = FaultPlan(seed=1, rules=(
+            FaultRule(kind=TRANSIENT, rate=1.0),))
         channel, client = make_channel(sim, depth=2, injector=injector,
                                        retry=NO_RETRY)
         failures = []

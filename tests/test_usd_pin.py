@@ -34,7 +34,7 @@ and why.
 
 import hashlib
 
-from repro.faults import TRANSIENT, FaultInjector, FaultPlan, FaultRule
+from repro.faults import TRANSIENT, FaultPlan, FaultRule
 from repro.hw.disk import Disk, DiskRequest, READ, WRITE
 from repro.sched.atropos import QoSSpec
 from repro.sim.core import Simulator
@@ -73,7 +73,7 @@ def _request(kind, base, index):
 
 def run_pin_workload():
     sim = Simulator()
-    disk = Disk(sim, injector=FaultInjector(FAULTS))
+    disk = Disk(sim, injector=FaultPlan(FAULTS.seed, FAULTS.rules))
     usd = USD(sim, disk)
     lax = usd.admit("lax-reader", QoSSpec(
         period_ns=PERIOD, slice_ns=15 * MS, laxity_ns=2 * MS),
