@@ -51,4 +51,4 @@ docs-lint:
 	    src/repro/supervise src/repro/integrity src/repro/place \
 	    src/repro/regimes src/repro/sched src/repro/kernel src/repro/faults \
 	    src/repro/apps src/repro/hw src/repro/baseline src/repro/mm \
-	    src/repro/obs
+	    src/repro/obs src/repro/system.py src/repro/__init__.py

@@ -39,7 +39,7 @@ class PagingApplication:
                  stretch_bytes=4 * MB, driver_frames=2,
                  swap_bytes=16 * MB, guaranteed_frames=None,
                  extra_frames=0, driver_kind="paged", store=None,
-                 prefetch_depth=4, pagers=None):
+                 prefetch_depth=4, stretches=()):
         if mode not in ("read-loop", "write-loop"):
             raise ValueError("mode must be 'read-loop' or 'write-loop'")
         if driver_kind not in ("paged", "stream", "seg"):
@@ -86,8 +86,8 @@ class PagingApplication:
         # personality, faults demuxed by the domain's PagerRegistry.
         self.extra_drivers = []
         self.extra_bytes = 0
-        for spec in (pagers or []):
-            self._add_pager(dict(spec), qos)
+        for spec in stretches:
+            self._add_pager(spec, qos)
         self.main_thread = self.app.spawn(self._main(), name="%s-main" % name)
         self.watch = BandwidthWatcher(
             system.sim, lambda: self.bytes_processed, name="%s-watch" % name)
@@ -97,25 +97,23 @@ class PagingApplication:
     def _add_pager(self, spec, qos):
         """Build one extra stretch + pager personality from a spec.
 
-        ``spec`` keys: ``kind`` (paged / forgetful / mapped-file /
-        nailed / physical / seg), ``pages`` (stretch size), ``frames``
-        (driver pool), ``swap_kb`` (paged kinds), ``priority``
-        (revocation order, lower pays first), ``name``. The stretch
-        gets its own toucher thread (write pass, then an endless read
-        loop) counting into ``extra_bytes`` — the main stretch's
-        ``bytes_processed`` bandwidth stays comparable across regimes.
+        ``spec`` is a normalised ``[[workload.domains.stretches]]``
+        entry; :data:`repro.missions.schema.STRETCH_FIELDS` documents
+        its fields, defaults and sentinels ("" name: numbered). The
+        stretch gets its own toucher thread (write pass, then an
+        endless read loop) counting into ``extra_bytes`` — the main
+        stretch's ``bytes_processed`` bandwidth stays comparable
+        across regimes.
         """
         app = self.app
-        name = spec.pop("name", None) or "%s-p%d" % (
-            self.name, len(self.extra_drivers))
-        kind = spec.pop("kind")
-        pages = spec.pop("pages", 16)
-        frames = spec.pop("frames", 0)
-        priority = spec.pop("priority", None)
-        swap_bytes = spec.pop("swap_kb", 4 * pages * self.page_size
-                              // KB) * KB
-        if spec:
-            raise ValueError("unknown pager spec keys %s" % sorted(spec))
+        name = spec["name"] or "%s-p%d" % (self.name,
+                                           len(self.extra_drivers))
+        kind = spec["driver"]
+        pages = spec["pages"]
+        frames = spec["frames"]
+        priority = None if spec["priority"] == -1 else spec["priority"]
+        swap_bytes = (spec["swap_kb"] * KB
+                      or 4 * pages * self.page_size)
         nbytes = pages * self.page_size
         if kind in ("paged", "forgetful"):
             driver = app.paged_driver(frames=frames, swap_bytes=swap_bytes,

@@ -44,8 +44,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.missions import (REPORT_SCHEMA_VERSION, MissionError,
-                            load_mission, report_json, run_mission)
+from repro.missions import (MissionError, hung_report, load_mission,
+                            report_json, run_mission)
 
 #: Bump on incompatible changes to the ``results/sweep.json`` layout.
 #: v2: rows gained ``rule_fires``, counts gained ``hung``.
@@ -151,58 +151,25 @@ def _retry_budget(path):
     return budget + RETRY_SLACK_SEC
 
 
-def _hung_report(mission, budget):
-    """The canonical FAIL report for a mission whose retry blew its
-    wall-clock budget *outside* the runner's own hang guard. Mirrors
-    :meth:`MissionRunner.run`'s hung shape; ``error.run`` is null
-    because the parent cannot know which run wedged."""
-    return {
-        "schema": REPORT_SCHEMA_VERSION,
-        "mission": dict(mission["mission"]),
-        "runs": {},
-        "invariants": [],
-        "audit": {"passed": False, "fired": {}, "vacuous": []},
-        "error": {"reason": "hung", "run": None, "deadline_s": budget},
-        "reproducible": None,
-        "passed": False,
-    }
-
-
-def _hung_row(path, budget):
-    """The aggregate row for a mission whose retry was abandoned after
-    ``budget`` seconds of wall-clock: a FAIL with reason ``hung``."""
+def _failure_row(path, error, elapsed_sec):
+    """The aggregate row of a mission that produced no report of its
+    own: a FAIL charged ``error`` (``worker_crashed``: its worker
+    process died outright, a segfault or an OOM kill, not a Python
+    exception; ``hung``: its retry was abandoned after
+    ``elapsed_sec`` of wall-clock). Name and family come from
+    re-loading the (already linted) file in-parent."""
     mission = load_mission(path)
     return {
         "name": mission["mission"]["name"],
         "family": mission["mission"]["family"],
         "path": path,
-        "elapsed_sec": round(budget, 2),
+        "elapsed_sec": elapsed_sec,
         "passed": False,
         "reproducible": None,
         "vacuous": [],
         "invariants_failed": [],
         "rule_fires": {},
-        "error": "hung",
-    }
-
-
-def _crash_row(path):
-    """The aggregate row for a mission whose worker process died (a
-    hard crash — segfault, OOM kill — not a Python exception). The
-    mission is charged a FAIL with reason ``worker_crashed``; name and
-    family come from re-loading the (already linted) file in-parent."""
-    mission = load_mission(path)
-    return {
-        "name": mission["mission"]["name"],
-        "family": mission["mission"]["family"],
-        "path": path,
-        "elapsed_sec": 0.0,
-        "passed": False,
-        "reproducible": None,
-        "vacuous": [],
-        "invariants_failed": [],
-        "rule_fires": {},
-        "error": "worker_crashed",
+        "error": error,
     }
 
 
@@ -280,15 +247,18 @@ def sweep(paths, jobs, out_dir, worker=_worker, budget=_retry_budget):
                   "w", encoding="utf-8") as fh:
             fh.write(report_json(outcome["report"]))
         rows.append(_summarise(outcome))
-    rows.extend(_crash_row(path) for path in crashed)
+    rows.extend(_failure_row(path, "worker_crashed", 0.0)
+                for path in crashed)
     for path, seconds in hung:
         # The hung mission still gets a canonical (FAIL) report on
-        # disk, so downstream consumers never special-case a gap.
-        row = _hung_row(path, seconds)
-        mission = load_mission(path)
+        # disk, so downstream consumers never special-case a gap. Its
+        # ``error.run`` is null: the parent cannot know which run
+        # wedged.
+        row = _failure_row(path, "hung", round(seconds, 2))
         with open(os.path.join(report_dir, "%s.json" % row["name"]),
                   "w", encoding="utf-8") as fh:
-            fh.write(report_json(_hung_report(mission, seconds)))
+            fh.write(report_json(hung_report(load_mission(path), None,
+                                             seconds)))
         rows.append(row)
     rows.sort(key=lambda row: row["name"])
     aggregate = {

@@ -49,7 +49,6 @@ from repro.faults.plan import (
     FaultDecision,
     FaultPlan,
     FaultRule,
-    FireRecorder,
     Plan,
     disk_storm,
 )
@@ -62,6 +61,6 @@ __all__ = [
     "STUCK", "TORN_WRITE", "TRANSIENT", "BehaviorDecision",
     "BehaviorPlan", "BehaviorRule", "CorruptDecision", "CorruptPlan",
     "CorruptRule", "CrashDecision", "CrashPlan", "CrashRule",
-    "FaultDecision", "FaultPlan", "FaultRule", "FireRecorder", "Plan",
+    "FaultDecision", "FaultPlan", "FaultRule", "Plan",
     "disk_storm", "extent_corruption",
 ]

@@ -125,7 +125,7 @@ class BehaviorPlan(Plan):
             if rule.rate < 1.0 and _draw(self.seed, rule.kind, index,
                                          domain, now, seq) >= rule.rate:
                 continue
-            self.observed.add(index)
+            self._observe(index)
             if decision is None:
                 decision = BehaviorDecision(
                     kind=rule.kind, delay_ns=rule.delay_ns,

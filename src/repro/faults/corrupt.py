@@ -113,10 +113,6 @@ class CorruptPlan(Plan):
         super().__init__(seed, rules)
         self._generation = {}   # blok-aligned LBA -> versions written
 
-    def generation(self, lba):
-        """The write-generation counter for one (blok-aligned) LBA."""
-        return self._generation.get(lba, 0)
-
     def note_write(self, req, now):
         """Advance the written generation of the blok ``req`` covers."""
         self._generation[req.lba] = self._generation.get(req.lba, 0) + 1
@@ -142,7 +138,7 @@ class CorruptPlan(Plan):
                 continue
             if not self._hit(rule, index, req, now, generation):
                 continue
-            self.observed.add(index)
+            self._observe(index)
             if decision is None:
                 decision = CorruptDecision(rule_index=index, kind=rule.kind,
                                            lba=req.lba)

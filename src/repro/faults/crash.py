@@ -98,7 +98,7 @@ class CrashPlan(Plan):
             if rule.rate < 1.0 and _draw(self.seed, CRASH, index,
                                          component, now, seq) >= rule.rate:
                 continue
-            self.observed.add(index)
+            self._observe(index)
             if decision is None:
                 decision = CrashDecision(rule_index=index,
                                          component=component)

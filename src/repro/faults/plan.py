@@ -66,41 +66,6 @@ def _draw(seed, *key):
     return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
-class FireRecorder:
-    """Set-like audit evidence with per-rule fire *counts*.
-
-    The plans record which rule indices fired through
-    ``observed.add(index)``; this recorder keeps both the set of
-    indices that ever fired and how many times each did, so mission
-    reports can show per-rule counts rather than a boolean. It
-    iterates and compares like a plain ``set`` of indices.
-    """
-
-    def __init__(self):
-        self.counts = {}
-
-    def add(self, index):
-        """Record one firing of rule ``index``."""
-        self.counts[index] = self.counts.get(index, 0) + 1
-
-    def __contains__(self, index):
-        return index in self.counts
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        if isinstance(other, FireRecorder):
-            return self.counts == other.counts
-        return set(self.counts) == other
-
-    def __repr__(self):
-        return "<FireRecorder %r>" % (self.counts,)
-
-
 def _check_rate_and_window(rule):
     """The validation every plane's rule shares: a per-draw ``rate`` in
     [0, 1] and a ``[start_ns, end_ns)`` window (``end_ns`` None: forever)."""
@@ -122,12 +87,13 @@ class Plan:
     """A seed plus an ordered tuple of rules, and what consulting them
     accumulates.
 
-    ``observed`` collects the index of every rule whose own draw fired
-    — even a rule outranked by another on the same consultation (draws
-    are pure, so the extra evaluations cannot perturb a decision) — so
-    the mission plane's injection audit can prove each declared rule
-    was exercised. ``injected`` counts the faults actually delivered;
-    :meth:`bind` exports them to the plane's metric family as well.
+    ``observed`` counts, per rule index, the consultations on which the
+    rule's own draw fired — even a rule outranked by another on the
+    same consultation (draws are pure, so the extra evaluations cannot
+    perturb a decision) — so the mission plane's injection audit can
+    prove each declared rule was exercised. ``injected`` counts the
+    faults actually delivered; :meth:`bind` exports them to the plane's
+    metric family as well.
     """
 
     #: (family name, help) of the plane's injection counter.
@@ -136,8 +102,8 @@ class Plan:
     def __init__(self, seed, rules=()):
         self.seed = seed
         self.rules = tuple(rules)
-        #: Fire evidence per rule (set-like, with counts).
-        self.observed = FireRecorder()
+        #: Fire evidence: {rule index: fires}.
+        self.observed = {}
         self.injected = 0
         self._family = NULL_REGISTRY.counter(self.METRIC[0])
 
@@ -147,6 +113,10 @@ class Plan:
         name, help_text = self.METRIC
         self._family = metrics.counter(name, help=help_text)
         return self
+
+    def _observe(self, index):
+        """Record one firing of rule ``index``."""
+        self.observed[index] = self.observed.get(index, 0) + 1
 
     def _inject(self, **labels):
         """Account one delivered fault under ``labels``."""
@@ -237,7 +207,6 @@ class FaultPlan(Plan):
     def decide(self, req, now):
         """Evaluate every rule against one transaction; returns a
         :class:`FaultDecision` (CLEAN if nothing fires)."""
-        observed = self.observed
         fail_kind = None
         stuck_ns = 0
         latency_extra = 0
@@ -246,25 +215,25 @@ class FaultPlan(Plan):
                 continue
             if rule.kind == BAD_BLOCK:
                 if self._bad_block_hit(rule, index, req):
-                    observed.add(index)
+                    self._observe(index)
                     fail_kind = BAD_BLOCK
             elif rule.kind == STUCK:
                 if _draw(self.seed, STUCK, index, req.lba, req.kind,
                          now) < rule.rate:
-                    observed.add(index)
+                    self._observe(index)
                     if fail_kind in (None, TRANSIENT):
                         fail_kind = STUCK
                         stuck_ns = rule.stuck_ns
             elif rule.kind == TRANSIENT:
                 if _draw(self.seed, TRANSIENT, index, req.lba, req.kind,
                          now) < rule.rate:
-                    observed.add(index)
+                    self._observe(index)
                     if fail_kind is None:
                         fail_kind = TRANSIENT
             else:  # LATENCY
                 if _draw(self.seed, LATENCY, index, req.lba, req.kind,
                          now) < rule.rate:
-                    observed.add(index)
+                    self._observe(index)
                     latency_extra += rule.extra_ns
         if fail_kind in (BAD_BLOCK, TRANSIENT):
             decision = FaultDecision(status=STATUS_IO_ERROR, kind=fail_kind)

@@ -88,14 +88,18 @@ class Domain:
         self._maybe_pending = False
         self._last_thread = None
         self._rr_next = 0
-        # Bound metrics children: one cell per domain, shared by all of
-        # the domain's channels (accountability is per-domain).
-        self._c_events_sent = kernel._m_events_sent.child(domain=self.name)
-        self._c_faults_dispatched = kernel._m_faults.child(domain=self.name)
-        self._c_activations = kernel.metrics.counter(
+        # Per-domain metrics, read from the counts the domain and its
+        # channels keep (accountability is per-domain): events sent to
+        # any of its channels, faults sent to its fault channel.
+        kernel._m_events_sent.read(
+            lambda: sum(channel.sent for channel in self.channels),
+            domain=self.name)
+        kernel._m_faults.read(lambda: self.fault_channel.sent,
+                              domain=self.name)
+        kernel.metrics.counter(
             "kernel_activations_total",
             help="domain activations (event-drain entries)"
-        ).child(domain=self.name)
+        ).read(lambda: self.activations, domain=self.name)
         self.fault_channel = self.create_channel("fault")
         # The first turn runs from the heap, once the caller has finished
         # building the domain (spawning its first threads).
@@ -106,8 +110,7 @@ class Domain:
     def create_channel(self, name, handler=None):
         """Create an event channel owned (received) by this domain."""
         channel = EventChannel(self.sim, "%s.%s" % (self.name, name),
-                               meter=self.meter,
-                               counter=self._c_events_sent)
+                               meter=self.meter)
         channel.attach(self, handler)
         self.channels.append(channel)
         return channel
@@ -219,7 +222,6 @@ class Domain:
         or its burst ran ahead.
         """
         self.activations += 1
-        self._c_activations.inc()
         self.meter.charge("activate")
         self.in_activation_handler = True
         try:

@@ -19,19 +19,14 @@ handler* inside the activation handler (IDC forbidden there — see
 
 from collections import deque
 
-from repro.obs.metrics import NULL_INSTRUMENT
-
 
 class EventChannel:
     """One endpoint pair: senders increment, the owning domain drains."""
 
-    def __init__(self, sim, name, meter=None, counter=None):
-        """``counter`` is a bound metrics instrument counting sends;
-        omitted means unmetered."""
+    def __init__(self, sim, name, meter=None):
         self.sim = sim
         self.name = name
         self.meter = meter
-        self._c_sent = counter if counter is not None else NULL_INSTRUMENT
         self.sent = 0
         self.acked = 0
         self._payloads = deque()
@@ -57,7 +52,6 @@ class EventChannel:
         if self.meter is not None:
             self.meter.charge("event_send")
         self.sent += 1
-        self._c_sent.inc()
         self._payloads.append(payload)
         if self.domain is not None:
             self.domain._kick()

@@ -81,6 +81,5 @@ class Kernel:
                              code=result.fault, thread=thread,
                              time=self.sim.now)
         self.faults_dispatched += 1
-        domain._c_faults_dispatched.inc()
         domain.fault_channel.send(record)  # charges event_send
         return record

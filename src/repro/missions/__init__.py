@@ -11,7 +11,8 @@ missions, across parallel workers.
 """
 
 from repro.missions.runner import (MissionRunError, MissionRunner,
-                                   canonical, report_json, run_mission)
+                                   canonical, hung_report, report_json,
+                                   run_mission)
 from repro.missions.schema import (MISSION_SCHEMA_VERSION,
                                    REPORT_SCHEMA_VERSION)
 from repro.missions.validate import (MissionError, MissionValidator,
@@ -21,6 +22,7 @@ from repro.missions.validate import (MissionError, MissionValidator,
 __all__ = [
     "MISSION_SCHEMA_VERSION", "REPORT_SCHEMA_VERSION", "MissionError",
     "MissionRunError", "MissionRunner", "MissionValidator", "canonical",
-    "load_mission", "loads_mission", "report_json", "run_mission",
+    "hung_report", "load_mission", "loads_mission", "report_json",
+    "run_mission",
     "serialize_mission", "validate_mission",
 ]

@@ -164,6 +164,24 @@ def report_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def hung_report(mission, run_name, deadline_s):
+    """The canonical FAIL report of a mission that blew a wall-clock
+    budget: ``error.reason`` is ``hung``, ``error.run`` names the run
+    that wedged (None when unknown), and no partial payload is kept (a
+    half-executed run is not comparable across machines)."""
+    return canonical({
+        "schema": REPORT_SCHEMA_VERSION,
+        "mission": dict(mission["mission"]),
+        "runs": {},
+        "invariants": [],
+        "audit": {"passed": False, "fired": {}, "vacuous": []},
+        "error": {"reason": "hung", "run": run_name,
+                  "deadline_s": deadline_s},
+        "reproducible": None,
+        "passed": False,
+    })
+
+
 def _disk_rule_kwargs(rule, extent=None, now=0):
     """Mission fault or corruption rule -> the keyword arguments of a
     :class:`~repro.faults.FaultRule` (or a
@@ -333,20 +351,6 @@ class MissionRunner:
         """One pager domain's application — also the supervisor's
         rebuild recipe, so a restarted pager re-admits through the
         exact constructor call the original used."""
-        pagers = []
-        for spec in domain.get("stretches", ()):
-            # Normalised stretch spec -> PagingApplication pager spec:
-            # sentinel values ("" name, -1 priority, 0 swap_kb) mean
-            # "use the application default".
-            pager = {"kind": spec["driver"], "pages": spec["pages"],
-                     "frames": spec["frames"]}
-            if spec["name"]:
-                pager["name"] = spec["name"]
-            if spec["priority"] != -1:
-                pager["priority"] = spec["priority"]
-            if spec["swap_kb"]:
-                pager["swap_kb"] = spec["swap_kb"]
-            pagers.append(pager)
         return PagingApplication(
             system, domain["name"], _qos(domain), mode=domain["mode"],
             stretch_bytes=domain["stretch_kb"] * KB,
@@ -357,7 +361,7 @@ class MissionRunner:
             driver_kind=domain["driver_kind"],
             store=(None if domain["store"] == "sfs" else "usbs"),
             prefetch_depth=domain["prefetch_depth"],
-            pagers=pagers or None)
+            stretches=domain.get("stretches", ()))
 
     def _pagers(self, handles):
         """Pager handles, in declared order (``handles`` tracks the
@@ -715,7 +719,7 @@ class MissionRunner:
         for plane, plan, indices in planes:
             seen = fired.setdefault(plane, set())
             counts = fired["counts"][plane]
-            for i, count in plan.observed.counts.items():
+            for i, count in plan.observed.items():
                 seen.add(indices[i])
                 key = str(indices[i])
                 counts[key] = counts.get(key, 0) + count
@@ -914,17 +918,7 @@ class MissionRunner:
         try:
             return self._run_all()
         except MissionHung as exc:
-            return canonical({
-                "schema": REPORT_SCHEMA_VERSION,
-                "mission": dict(self.mission["mission"]),
-                "runs": {},
-                "invariants": [],
-                "audit": {"passed": False, "fired": {}, "vacuous": []},
-                "error": {"reason": "hung", "run": exc.run_name,
-                          "deadline_s": exc.deadline_s},
-                "reproducible": None,
-                "passed": False,
-            })
+            return hung_report(self.mission, exc.run_name, exc.deadline_s)
 
     def _run_all(self):
         mission = self.mission

@@ -72,19 +72,19 @@ class FramesClient:
         self._c_frees = metrics.counter(
             "frames_frees_total", help="frames voluntarily returned"
         ).child(domain=name)
-        self._g_allocated = metrics.gauge(
+        metrics.gauge(
             "frames_allocated", help="frames currently held (n)"
-        ).child(domain=name)
-        self._stack_gauge = metrics.gauge(
+        ).read(lambda: self.allocated, domain=name)
+        metrics.gauge(
             "frames_stack_depth", help="frame-stack depth"
-        ).child(domain=name)
+        ).read(lambda: len(self.stack), domain=name)
         self._m_revoked = metrics.counter(
             "frames_revoked_total",
             help="frames taken back, by domain and kind "
                  "(transparent/intrusive/kill)")
         self._c_revoked_transparent = self._m_revoked.child(
             domain=name, kind="transparent")
-        self.stack = FrameStack(depth_gauge=self._stack_gauge)
+        self.stack = FrameStack()
         self.revocation_channel = None   # set by the MMEntry
         self._reply_event = None         # pending intrusive revocation
         self.killed = False
@@ -162,7 +162,6 @@ class FramesClient:
             self._c_grants.inc()
             self.allocator._record("grant", self, pfn=pfn,
                                    optimistic=self.allocated > self.guaranteed)
-        self._g_allocated.set(self.allocated)
         return pfns
 
     def request_frames(self, count=1):
@@ -276,7 +275,6 @@ class FramesAllocator:
         client.stack.push(pfn)
         client.allocated += 1
         client._c_grants.inc()
-        client._g_allocated.set(client.allocated)
         self._record("grant", client, pfn=pfn,
                      optimistic=client.allocated > client.guaranteed)
 
@@ -308,7 +306,6 @@ class FramesAllocator:
         self.physmem.release(pfn)
         client.allocated -= 1
         client._c_frees.inc()
-        client._g_allocated.set(client.allocated)
         self._record("free", client, pfn=pfn)
 
     # -- synchronous path ---------------------------------------------------------
@@ -324,7 +321,6 @@ class FramesAllocator:
                         client.stack.remove(got)
                         self.physmem.release(got)
                         client.allocated -= 1
-                    client._g_allocated.set(client.allocated)
                     raise FramesError("PFN %d unavailable" % pfn)
                 self._grant(client, frame)
                 granted.append(frame)
@@ -460,7 +456,6 @@ class FramesAllocator:
                 victim._m_revoked.inc(
                     reclaimed, domain=victim.domain.name
                     if victim.domain else "?", kind=kind)
-            victim._g_allocated.set(victim.allocated)
         return reclaimed
 
     def _revoke_transparent(self, k, exclude=None):
@@ -600,9 +595,7 @@ class FramesAllocator:
                 self.physmem.release(pfn)
                 freed += 1
         client.allocated = 0
-        client._g_allocated.set(0)
-        client.stack = FrameStack(depth_gauge=client._stack_gauge)
-        client._stack_gauge.set(0)
+        client.stack = FrameStack()
         return freed
 
     def depart(self, client):

@@ -26,15 +26,13 @@ class _Entry:
 class FrameStack:
     """Ordered list of owned PFNs; top (= end) is most revocable.
 
-    ``depth_gauge`` is an optional bound metrics gauge kept equal to the
-    stack depth; ``pushes``/``removes``/``reorders`` count mutations
-    (cheap plain ints, always on) so tests can assert stack churn.
+    ``pushes``/``removes``/``reorders`` count mutations (cheap plain
+    ints, always on) so tests can assert stack churn.
     """
 
-    def __init__(self, depth_gauge=None):
+    def __init__(self):
         self._entries = []
         self._index = {}  # pfn -> _Entry
-        self._gauge = depth_gauge
         self.pushes = 0
         self.removes = 0
         self.reorders = 0
@@ -61,16 +59,12 @@ class FrameStack:
         self._entries.append(entry)
         self._index[pfn] = entry
         self.pushes += 1
-        if self._gauge is not None:
-            self._gauge.set(len(self._entries))
 
     def remove(self, pfn):
         """Remove a frame (it was freed or revoked)."""
         entry = self._index.pop(pfn)
         self._entries.remove(entry)
         self.removes += 1
-        if self._gauge is not None:
-            self._gauge.set(len(self._entries))
         return entry.info
 
     def top(self, k=1):

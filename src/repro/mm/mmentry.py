@@ -71,37 +71,40 @@ class MMEntry:
         self.watchdog_kills = 0
         metrics = domain.kernel.metrics
         self.spans = domain.kernel.spans
+        # The counts above and the work queue's length are read when
+        # the registry is; the rest are pushed.
+        name = domain.name
         faults = metrics.counter(
             "mm_faults_resolved_total",
             help="faults resolved, by domain and path (fast/slow)")
-        self._c_fast = faults.child(domain=domain.name, path="fast")
-        self._c_slow = faults.child(domain=domain.name, path="slow")
-        self._c_failures = metrics.counter(
+        faults.read(lambda: self.fast_resolved, domain=name, path="fast")
+        faults.read(lambda: self.slow_resolved, domain=name, path="slow")
+        metrics.counter(
             "mm_fault_failures_total",
             help="unresolvable faults (the faulting thread is killed)"
-        ).child(domain=domain.name)
-        self._c_revocations = metrics.counter(
+        ).read(lambda: self.failures, domain=name)
+        metrics.counter(
             "mm_revocations_handled_total",
             help="intrusive revocation notifications serviced"
-        ).child(domain=domain.name)
+        ).read(lambda: self.revocations_handled, domain=name)
         self._c_cleans = metrics.counter(
             "frames_revocation_cleans_total",
             help="dirty pages written out (through the victim's own "
                  "paged driver and USD stream) to satisfy intrusive "
                  "revocation"
-        ).child(domain=domain.name)
-        self._g_queue = metrics.gauge(
+        ).child(domain=name)
+        metrics.gauge(
             "mm_work_queue_depth",
             help="faults/revocations queued for MMEntry workers"
-        ).child(domain=domain.name)
-        self._c_watchdog = metrics.counter(
+        ).read(lambda: len(self._work), domain=name)
+        metrics.counter(
             "mm_watchdog_kills_total",
             help="slow-path fault resolutions killed by the watchdog"
-        ).child(domain=domain.name)
+        ).read(lambda: self.watchdog_kills, domain=name)
         self._h_latency = metrics.histogram(
             "mm_fault_latency_ns",
             help="fault-taken to thread-resumed latency"
-        ).child(domain=domain.name)
+        ).child(domain=name)
         # Per-driver (and hence per-regime) fault/revocation counters:
         # the domain-level families above stay untouched for existing
         # dashboards; these add the ``driver`` label for separability.
@@ -162,13 +165,11 @@ class MMEntry:
 
     def _resolved_fast(self, fault):
         self.fast_resolved += 1
-        self._c_fast.inc()
         self._h_latency.observe(self.sim.now - fault.time)
         self.domain.resume_thread(fault.thread)
 
     def _failed(self, fault, reason):
         self.failures += 1
-        self._c_failures.inc()
         fault.thread.kill("%s %s" % (reason, fault))
 
     def _fault_notification(self, fault):
@@ -224,7 +225,6 @@ class MMEntry:
 
     def _enqueue(self, work):
         self._work.append(work)
-        self._g_queue.set(len(self._work))
         if self._work_event is not None and not self._work_event.triggered:
             self._work_event.trigger(None)
 
@@ -234,7 +234,6 @@ class MMEntry:
         while True:
             while self._work:
                 kind, payload, driver = self._work.popleft()
-                self._g_queue.set(len(self._work))
                 yield Compute(self.meter.model["thread_switch"],
                               label="mmentry-dispatch")
                 if kind == "fault":
@@ -255,7 +254,6 @@ class MMEntry:
                     span.end(ok=ok)
                     if ok:
                         self.slow_resolved += 1
-                        self._c_slow.inc()
                         if driver is not None:
                             self._f_sdriver_faults.inc(driver=driver.name,
                                                        path="slow")
@@ -284,7 +282,6 @@ class MMEntry:
         if worker.state is not ThreadState.BLOCKED:
             return   # making progress (e.g. waiting on CPU), not wedged
         self.watchdog_kills += 1
-        self._c_watchdog.inc()
         worker.wait_event = None   # the stale event must not wake us
         worker.next_throw = FaultTimeout(
             "fault %r unresolved after %s" % (fault,
@@ -304,7 +301,6 @@ class MMEntry:
         zero progress counts as a strike.
         """
         self.revocations_handled += 1
-        self._c_revocations.inc()
         span = self.spans.start("revocation.handle",
                                 client=self.domain.name, k=request.k)
         if decision is not None and decision.kind == "revoke_slow":

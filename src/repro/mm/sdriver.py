@@ -69,10 +69,11 @@ class StretchDriver:
         self.io_failures = 0
         metrics = getattr(getattr(domain, "kernel", None), "metrics",
                           None) or NULL_REGISTRY
-        self._c_io_failures = metrics.counter(
+        metrics.counter(
             "sdriver_io_failures_total",
             help="persistent backing-store IO failures absorbed by "
-                 "stretch drivers, by driver").child(driver=name)
+                 "stretch drivers, by driver"
+        ).read(lambda: self.io_failures, driver=name)
 
     # -- setup ----------------------------------------------------------
 
@@ -106,7 +107,6 @@ class StretchDriver:
     def note_io_failure(self):
         """Record a persistent IO failure this driver had to absorb."""
         self.io_failures += 1
-        self._c_io_failures.inc()
 
     def _pop_free(self):
         """Pop a *still-valid* unused frame from the pool.

@@ -20,9 +20,14 @@ Design notes:
   subtracts counters and histograms (gauges keep their current value),
   which is how tests assert "this workload cost N faults for domain X
   and zero for Y".
-* A gauge that mirrors state the owner keeps anyway (a queue's length)
-  need not be set on every change: the owner registers a collector
-  with ``collect(fn)``, and ``snapshot()`` calls it first.
+* A value its owner already keeps (a count, a queue's length) is
+  counted once: the owner registers a reader,
+  ``family.read(fn, domain="a")``, and every read of the family or a
+  snapshot calls ``fn()``. Readers that share a label set are summed,
+  so a domain re-admitted under its old name (a supervised restart)
+  reads on top of its earlier incarnations. Nothing is pushed per
+  event; a family is fed either by readers or by ``inc``/``set``,
+  never both.
 
 Everything is simulation-agnostic: no clocks, no simulator imports.
 """
@@ -69,12 +74,9 @@ class _NullChild:
         return 0
 
 
-_NULL_CHILD = _NullChild()
-
-#: Public alias: a bound instrument that accepts inc/dec/set/observe and
-#: does nothing. Components taking an optional bound instrument default
-#: to this so call sites need no None checks.
-NULL_INSTRUMENT = _NULL_CHILD
+#: The bound instrument every disabled family hands out: it accepts
+#: inc/dec/set/observe and does nothing.
+NULL_INSTRUMENT = _NullChild()
 
 
 class _NullFamily:
@@ -84,7 +86,7 @@ class _NullFamily:
 
     def child(self, **labels):
         """The shared do-nothing bound instrument."""
-        return _NULL_CHILD
+        return NULL_INSTRUMENT
 
     def inc(self, amount=1, **labels):
         """Count nothing."""
@@ -94,6 +96,9 @@ class _NullFamily:
 
     def observe(self, value, **labels):
         """Record nothing."""
+
+    def read(self, fn, **labels):
+        """Read nothing: ``fn`` is dropped."""
 
     def get(self, **labels):
         """Always 0."""
@@ -221,17 +226,47 @@ class _Family:
         """{label key tuple: plain value} for snapshots."""
         return {key: self._export(cell) for key, cell in self._cells.items()}
 
-    def _export(self, cell):
-        return cell[0]
 
+class _ScalarFamily(_Family):
+    """A number per label set: kept in a cell, or read from its owner."""
 
-class CounterFamily(_Family):
-    """A monotone counter per label set."""
-
-    kind = "counter"
+    def __init__(self, name, help=""):
+        super().__init__(name, help=help)
+        self._readers = {}  # label key -> [fn, ...]
 
     def _new_cell(self):
         return [0]
+
+    def _export(self, cell):
+        return cell[0]
+
+    def read(self, fn, **labels):
+        """Read the series of ``labels`` as ``fn()`` whenever the family
+        or a snapshot is read, summed with every other reader of the
+        same label set."""
+        self._readers.setdefault(_label_key(labels), []).append(fn)
+
+    def get(self, **labels):
+        """The value for ``labels`` (0 if never touched)."""
+        key = _label_key(labels)
+        readers = self._readers.get(key)
+        if readers is not None:
+            return sum(fn() for fn in readers)
+        cell = self._cells.get(key)
+        return cell[0] if cell else 0
+
+    def series(self):
+        """{label key tuple: plain value}, readers called now."""
+        out = super().series()
+        for key, readers in self._readers.items():
+            out[key] = sum(fn() for fn in readers)
+        return out
+
+
+class CounterFamily(_ScalarFamily):
+    """A monotone counter per label set."""
+
+    kind = "counter"
 
     def _bind(self, cell):
         return _BoundCounter(cell)
@@ -240,19 +275,11 @@ class CounterFamily(_Family):
         """Add ``amount`` to the counter of ``labels``."""
         _BoundCounter(self._cell(labels)).inc(amount)
 
-    def get(self, **labels):
-        """The count for ``labels`` (0 if never incremented)."""
-        cell = self._cells.get(_label_key(labels))
-        return cell[0] if cell else 0
 
-
-class GaugeFamily(_Family):
+class GaugeFamily(_ScalarFamily):
     """A settable value per label set."""
 
     kind = "gauge"
-
-    def _new_cell(self):
-        return [0]
 
     def _bind(self, cell):
         return _BoundGauge(cell)
@@ -264,11 +291,6 @@ class GaugeFamily(_Family):
     def inc(self, amount=1, **labels):
         """Raise the gauge of ``labels`` by ``amount``."""
         self._cell(labels)[0] += amount
-
-    def get(self, **labels):
-        """The gauge of ``labels`` (0 if never set)."""
-        cell = self._cells.get(_label_key(labels))
-        return cell[0] if cell else 0
 
 
 class HistogramFamily(_Family):
@@ -418,7 +440,6 @@ class MetricsRegistry:
     def __init__(self, enabled=True):
         self.enabled = enabled
         self._families = {}
-        self._collectors = []
 
     def _family(self, name, kind, factory):
         if not self.enabled:
@@ -448,17 +469,8 @@ class MetricsRegistry:
             name, "histogram",
             lambda: HistogramFamily(name, buckets, help=help))
 
-    def collect(self, fn):
-        """Call ``fn()`` at the start of every :meth:`snapshot`, so it can
-        set gauges that are read rather than kept up to date. A disabled
-        registry ignores the call."""
-        if self.enabled:
-            self._collectors.append(fn)
-
     def snapshot(self):
-        """Capture every series right now."""
-        for fn in self._collectors:
-            fn()
+        """Capture every series right now (readers are called)."""
         data = {}
         for name, family in self._families.items():
             data[name] = (family.kind, family.series())

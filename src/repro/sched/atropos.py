@@ -149,36 +149,43 @@ class AtroposClient:
         self.slack_ns = 0
         self.retries = 0
         self.retry_ns = 0
-        # Bound metrics children (null instruments when the scheduler
-        # has no live registry). Labels: the scheduler ("sched") and
-        # this client.
+        # Metrics (no-ops without a live registry), labelled by the
+        # scheduler ("sched") and this client. The statistics above and
+        # the queue's length are read when the registry is; only the
+        # roll-over pair and the duration histogram are pushed.
         metrics = scheduler.metrics
         labels = {"sched": scheduler.name, "client": name}
-        self._c_served_ns = metrics.counter(
+        metrics.counter(
             "sched_served_ns_total",
-            help="guaranteed service time consumed").child(**labels)
-        self._c_lax_ns = metrics.counter(
-            "sched_lax_ns_total", help="lax time charged").child(**labels)
-        self._c_slack_ns = metrics.counter(
+            help="guaranteed service time consumed"
+        ).read(lambda: self.served_ns, **labels)
+        metrics.counter(
+            "sched_lax_ns_total", help="lax time charged"
+        ).read(lambda: self.lax_ns, **labels)
+        metrics.counter(
             "sched_slack_ns_total",
-            help="uncharged slack-time service received").child(**labels)
+            help="uncharged slack-time service received"
+        ).read(lambda: self.slack_ns, **labels)
         self._c_debit_ns = metrics.counter(
             "sched_rollover_debit_ns_total",
             help="overrun time carried into later periods").child(**labels)
         self._g_max_debit = metrics.gauge(
             "sched_rollover_max_debit_ns",
             help="largest single-period carried debit seen").child(**labels)
-        self._g_queue = metrics.gauge(
-            "sched_queue_depth", help="work items queued").child(**labels)
+        metrics.gauge(
+            "sched_queue_depth", help="work items queued"
+        ).read(lambda: len(self.queue), **labels)
         self._h_txn = metrics.histogram(
             "sched_txn_ns", help="work-item service durations").child(**labels)
-        self._c_retries = metrics.counter(
+        metrics.counter(
             "sched_retries_total",
-            help="failure retries performed inside work items").child(**labels)
-        self._c_retry_ns = metrics.counter(
+            help="failure retries performed inside work items"
+        ).read(lambda: self.retries, **labels)
+        metrics.counter(
             "sched_retry_ns_total",
             help="time consumed by failed attempts and their backoff, "
-                 "charged to the owning client").child(**labels)
+                 "charged to the owning client"
+        ).read(lambda: self.retry_ns, **labels)
 
     # -- client-facing API -------------------------------------------------
 
@@ -215,8 +222,6 @@ class AtroposClient:
         """
         self.retries += 1
         self.retry_ns += ns
-        self._c_retries.inc()
-        self._c_retry_ns.inc(ns)
 
 
 class AtroposScheduler:
@@ -279,8 +284,6 @@ class AtroposScheduler:
         self._guard_cb = self._guard
         self._guarded_cb = self._guarded
         self._on_item_cb = self._on_item
-        # Queue depths are read when the registry is snapshotted.
-        self.metrics.collect(self._collect)
         # The loop starts from the heap, after whatever the caller does
         # at this instant.
         sim._schedule(0, self._run)
@@ -418,11 +421,6 @@ class AtroposScheduler:
         if self.trace is not None:
             self.trace.record(self.sim.now - duration if kind in ("txn", "lax", "slack") else self.sim.now,
                               kind, client.name, duration=duration, **info)
-
-    def _collect(self):
-        """Set each client's ``sched_queue_depth`` for a snapshot."""
-        for client in self.clients:
-            client._g_queue.set(len(client.queue))
 
     def _kick(self):
         if not self._wake.triggered:
@@ -583,14 +581,12 @@ class AtroposScheduler:
             client.remaining -= duration
             client.served_items += 1
             client.served_ns += duration
-            client._c_served_ns.inc(duration)
             if self.trace is not None:
                 self._record("txn", client, duration=duration,
                              label=item.label, remaining=client.remaining)
         else:
             client.slack_items += 1
             client.slack_ns += duration
-            client._c_slack_ns.inc(duration)
             if self.trace is not None:
                 self._record("slack", client, duration=duration,
                              label=item.label)
@@ -668,7 +664,6 @@ class AtroposScheduler:
             client.remaining -= waited
             client.lax_used += waited
             client.lax_ns += waited
-            client._c_lax_ns.inc(waited)
             self._record("lax", client, duration=waited)
         if not client.queue and client.lax_used >= client.qos.laxity_ns:
             client.lax_exhausted = True

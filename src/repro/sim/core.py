@@ -38,7 +38,7 @@ inline instead of queueing it behind nothing.
 import heapq
 import math
 
-from repro.obs.metrics import NULL_INSTRUMENT, NULL_REGISTRY
+from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.units import fmt_time
 
 _PENDING = object()
@@ -374,22 +374,22 @@ class Simulator:
         self._seq = 0
         self._process_count = 0
         #: Total heap entries executed, maintained as a plain int so the
-        #: run loop never pays a metric call per event; flushed into the
-        #: ``sim_events_dispatched_total`` counter after each run.
+        #: run loop never pays a metric call per event (the
+        #: ``sim_events_dispatched_total`` counter reads it).
         self.events_dispatched = 0
-        self._flushed_dispatched = 0
         # The running call's bound and target, for _run_ahead: -1 while
         # neither run nor run_until_triggered is dispatching, so nothing
         # runs ahead then.
         self._ahead_until = -1
         self._ahead_target = None
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._c_dispatched = self.metrics.counter(
+        self.metrics.counter(
             "sim_events_dispatched_total",
             help="heap entries executed (callbacks + process resumptions)"
-        ).child()
-        self._c_spawned = self.metrics.counter(
-            "sim_processes_spawned_total").child()
+        ).read(lambda: self.events_dispatched)
+        self.metrics.counter(
+            "sim_processes_spawned_total"
+        ).read(lambda: self._process_count)
         self._h_wake = self.metrics.histogram(
             "sim_process_wait_ns",
             help="simulated time a process spent waiting on the event it "
@@ -397,7 +397,7 @@ class Simulator:
         # Fast-path flag: with a disabled registry every instrument is the
         # shared null object, so the hot loops skip observability work
         # entirely instead of making no-op calls.
-        self._obs_live = self._c_dispatched is not NULL_INSTRUMENT
+        self._obs_live = self.metrics.enabled
 
     @property
     def now(self):
@@ -444,14 +444,6 @@ class Simulator:
         self._now = end
         return True
 
-    def _flush_dispatched(self):
-        """Fold the plain dispatch count into the metrics counter."""
-        if self._obs_live:
-            delta = self.events_dispatched - self._flushed_dispatched
-            if delta:
-                self._flushed_dispatched = self.events_dispatched
-                self._c_dispatched.inc(delta)
-
     def call_at(self, when, fn):
         """Run ``fn()`` at absolute simulated time ``when``."""
         self._schedule(when - self._now, fn)
@@ -479,7 +471,6 @@ class Simulator:
     def spawn(self, gen, name=""):
         """Start a new process from generator ``gen``; returns it."""
         self._process_count += 1
-        self._c_spawned.inc()
         return Process(self, gen, name=name or "process-%d" % self._process_count)
 
     def run(self, until=None):
@@ -493,8 +484,9 @@ class Simulator:
         # The inner loop is the hottest code in the repository: every
         # simulated event in every experiment passes through it. Heap and
         # sentinel are bound to locals, the dispatch counter is a plain
-        # integer (flushed to metrics once per run), and entries carry
-        # their argument so no closure is ever allocated per event.
+        # integer (added to ``events_dispatched`` once per run), and
+        # entries carry their argument so no closure is ever allocated
+        # per event.
         heap = self._heap
         heappop = heapq.heappop
         no_arg = _NO_ARG
@@ -517,7 +509,6 @@ class Simulator:
         finally:
             self._ahead_until = -1
             self.events_dispatched += dispatched
-            self._flush_dispatched()
         if until is not None and self._now < until:
             self._now = until
         return self._now
@@ -562,5 +553,4 @@ class Simulator:
             self._ahead_until = -1
             self._ahead_target = None
             self.events_dispatched += dispatched
-            self._flush_dispatched()
         return event.value

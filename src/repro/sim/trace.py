@@ -10,7 +10,7 @@ Traces are cheap, append-only lists of :class:`TraceEvent`, filterable by
 kind and client and sliceable by time window.
 """
 
-from typing import List, Optional
+from typing import List
 
 
 class TraceEvent:
@@ -85,48 +85,6 @@ class Trace:
             out.append(event)
         return out
 
-    def between(self, t0, t1, kind=None, client=None):
-        """Events *overlapping* the window ``[t0, t1)``.
-
-        Unlike :meth:`filter`, which selects on start time only, this
-        includes events that straddle either window edge: a durationful
-        event is selected iff ``event.time < t1 and event.end > t0``; a
-        zero-duration event iff ``t0 <= event.time < t1``. An event that
-        *ends* exactly at ``t0`` (or starts exactly at ``t1``) touches
-        the window only at a boundary instant and is excluded.
-        """
-        if t1 < t0:
-            raise ValueError("between() needs t0 <= t1 (got %r > %r)"
-                             % (t0, t1))
-        if t1 == t0:
-            return []  # [t, t) is empty; nothing can overlap it
-        out = []
-        for event in self.events:
-            if kind is not None and event.kind != kind:
-                continue
-            if client is not None and event.client != client:
-                continue
-            if event.duration > 0:
-                if event.time < t1 and event.end > t0:
-                    out.append(event)
-            elif t0 <= event.time < t1:
-                out.append(event)
-        return out
-
-    def overlap_duration(self, t0, t1, kind=None, client=None):
-        """Total event time falling *inside* ``[t0, t1)`` (ns).
-
-        This is the windowed complement of :meth:`total_duration`, which
-        counts the full duration of every event that merely *starts* in
-        the window — overcounting events that extend past ``t1`` and
-        missing those that began before ``t0``. Here each overlapping
-        event contributes only its clamped intersection with the window.
-        """
-        total = 0
-        for event in self.between(t0, t1, kind=kind, client=client):
-            total += min(event.end, t1) - max(event.time, t0)
-        return total
-
     def clients(self) -> List[str]:
         """Distinct client names in first-appearance order."""
         seen = []
@@ -142,13 +100,3 @@ class Trace:
     def count(self, kind=None, client=None, start=None, end=None):
         """Number of matching events."""
         return len(self.filter(kind, client, start, end))
-
-    def last(self, kind=None, client=None) -> Optional[TraceEvent]:
-        """Most recent matching event, or None."""
-        for event in reversed(self.events):
-            if kind is not None and event.kind != kind:
-                continue
-            if client is not None and event.client != client:
-                continue
-            return event
-        return None

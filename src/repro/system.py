@@ -69,6 +69,7 @@ class App:
 
     @property
     def name(self):
+        """The application's domain name."""
         return self.domain.name
 
     def new_stretch(self, nbytes, start=None):
@@ -96,6 +97,9 @@ class App:
     # -- driver factories ---------------------------------------------------
 
     def physical_driver(self, frames=0, name=None):
+        """A physical stretch driver (§6.6): a page gets a demand-zeroed
+        frame on first touch, with no backing store. ``frames`` are
+        allocated into its pool now."""
         driver = PhysicalDriver(name or "%s-phys" % self.name, self.domain,
                                 self.frames, self.system.translation)
         if frames:
@@ -104,6 +108,8 @@ class App:
         return driver
 
     def nailed_driver(self, name=None):
+        """A nailed stretch driver (§6.6): frames back a bound stretch at
+        bind time, so it never faults or pages."""
         driver = NailedDriver(name or "%s-nailed" % self.name, self.domain,
                               self.frames, self.system.translation)
         self.drivers.append(driver)
@@ -379,7 +385,7 @@ class NemesisSystem:
                 trace=self.usd_trace, rollover=rollover)
         self.apps = []
         if behavior_plan is not None:
-            self.install_behavior_plan(behavior_plan)
+            self.frames_allocator.behavior = behavior_plan.bind(self.metrics)
 
     # -- construction -------------------------------------------------------
 
@@ -437,16 +443,6 @@ class NemesisSystem:
         self.scrubbers[swap.name] = scrubber
         return wrapped
 
-    def install_behavior_plan(self, plan):
-        """Attach a fresh :class:`~repro.faults.BehaviorPlan` to the
-        frames allocator (as ``frames_allocator.behavior``): hostile-domain
-        rules consulted at the MMEntry revocation channel and the
-        frames-client request path. Passing ``None`` makes every domain
-        cooperative again. Applies to existing and future apps.
-        """
-        self.frames_allocator.behavior = (None if plan is None
-                                          else plan.bind(self.metrics))
-
     def new_app(self, name, guaranteed_frames, extra_frames=0,
                 cpu_qos=None):
         """Create a self-paging application domain with its contract."""
@@ -470,6 +466,7 @@ class NemesisSystem:
 
     @property
     def now(self):
+        """Current simulated time in nanoseconds."""
         # Read the clock directly: thread bodies stamp times through
         # this on every operation.
         return self.sim._now

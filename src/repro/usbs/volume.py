@@ -60,11 +60,10 @@ class Volume:
         self.partition = Partition("swap-%s" % self.name, *SWAP_SPAN)
         self.sfs = SwapFileSystem(sim, self.usd, machine, self.partition)
         self.state = HEALTHY
-        self._g_health = self.metrics.gauge(
+        self.metrics.gauge(
             "usbs_volume_health",
             help="volume health: 2 healthy, 1 degraded, 0 retired"
-        ).child(volume=self.name)
-        self._g_health.set(_HEALTH_LEVEL[HEALTHY])
+        ).read(lambda: _HEALTH_LEVEL[self.state], volume=self.name)
 
     # -- health ------------------------------------------------------------
 
@@ -74,11 +73,10 @@ class Volume:
         return self.state == HEALTHY
 
     def set_state(self, state):
-        """Transition the health state (and the exported gauge)."""
+        """Transition the health state (the exported gauge reads it)."""
         if state not in _HEALTH_LEVEL:
             raise ValueError("unknown volume state %r" % (state,))
         self.state = state
-        self._g_health.set(_HEALTH_LEVEL[state])
 
     # -- fault plane -------------------------------------------------------
 

@@ -112,10 +112,11 @@ class SwapFile:
         self.remaps = 0
         self.remap_table = {}  # blok -> lba in the spare region
         metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._c_remaps = metrics.counter(
+        metrics.counter(
             "sfs_remaps_total",
             help="bloks remapped to the spare region after persistent "
-                 "write failures, by swap file").child(swapfile=name)
+                 "write failures, by swap file"
+        ).read(lambda: self.remaps, swapfile=name)
 
     @property
     def spares_left(self):
@@ -195,7 +196,6 @@ class SwapFile:
                                       + self.spares_used * self.blok_blocks)
             self.spares_used += 1
             self.remaps += 1
-            self._c_remaps.inc()
             self.sim.spawn(self._rewrite(done, blok),
                            name="sfs-remap-%s-%d" % (self.name, blok))
             return

@@ -102,19 +102,23 @@ class USDClient:
         self.blocks_moved = 0
         self.retries = 0
         self.failures = 0
-        self._c_txns = usd.metrics.counter(
+        metrics = usd.metrics
+        metrics.counter(
             "usd_transactions_total",
-            help="disk transactions submitted, by stream").child(client=name)
-        self._c_blocks = usd.metrics.counter(
+            help="disk transactions submitted, by stream"
+        ).read(lambda: self.transactions, client=name)
+        metrics.counter(
             "usd_blocks_total",
-            help="disk blocks requested, by stream").child(client=name)
-        self._c_retries = usd.metrics.counter(
+            help="disk blocks requested, by stream"
+        ).read(lambda: self.blocks_moved, client=name)
+        metrics.counter(
             "usd_retries_total",
-            help="failed-transaction retries, by stream").child(client=name)
-        self._c_failures = usd.metrics.counter(
+            help="failed-transaction retries, by stream"
+        ).read(lambda: self.retries, client=name)
+        metrics.counter(
             "usd_txn_failures_total",
             help="transactions failed beyond the retry budget, by stream"
-        ).child(client=name)
+        ).read(lambda: self.failures, client=name)
 
     @property
     def qos(self):
@@ -130,8 +134,6 @@ class USDClient:
                                   tag=request.tag)
         self.transactions += 1
         self.blocks_moved += request.nblocks
-        self._c_txns.inc()
-        self._c_blocks.inc(request.nblocks)
         return self._sched_client.submit(lambda req=request: self._serve(req),
                                          label=request.kind)
 
@@ -159,10 +161,8 @@ class USDClient:
             if (attempts > policy.max_retries
                     or sim.now + backoff - began > deadline_ns):
                 self.failures += 1
-                self._c_failures.inc()
                 raise TransactionFailed(result, attempts, self.name)
             self.retries += 1
-            self._c_retries.inc()
             self._sched_client.note_retry(sim.now - attempt_start + backoff)
             yield sim.timeout(backoff)
 

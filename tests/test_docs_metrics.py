@@ -3,7 +3,9 @@
 docs/PAPER_MAP.md lists the metric families a run records: every
 name in the first column of its "Metric | Paper concept" table must
 be registered somewhere in ``src/repro``, so the table cannot document
-a metric that no run produces. And every backticked dotted
+a metric that no run produces, and every family registered there must
+have a row, so no run produces a metric the table leaves out. And
+every backticked dotted
 ``repro.…`` name in README.md, DESIGN.md, EXPERIMENTS.md and docs/
 must resolve to a module or an attribute, so no doc points a reader
 at a class, method or module that is gone."""
@@ -53,6 +55,23 @@ def test_every_documented_metric_family_is_registered():
                if '"%s"' % name not in source
                and "'%s'" % name not in source]
     assert missing == []
+
+
+def _registered_families():
+    """Family names ``src/repro`` registers: the literal first argument
+    of every ``.counter(`` / ``.gauge(`` / ``.histogram(`` call, plus
+    each fault plane's ``METRIC`` name (bound through a variable)."""
+    source = _source_text()
+    names = set(re.findall(
+        r'\.(?:counter|gauge|histogram)\(\s*"([a-z0-9_]+)"', source))
+    names.update(re.findall(r'METRIC = \(\s*"([a-z0-9_]+)"', source))
+    return names
+
+
+def test_every_registered_metric_family_is_documented():
+    registered = _registered_families()
+    assert len(registered) >= 60     # the registrations were found
+    assert sorted(registered - set(_documented_families())) == []
 
 
 def _documented_names():

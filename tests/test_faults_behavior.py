@@ -66,7 +66,7 @@ class TestBehaviorPlan:
             BehaviorRule(kind=ALLOC_THRASH, domain="a"),))
         assert plan.revocation_decision("a", 0) is None
         assert plan.alloc_count("a", 0, count=1, room=100) == 8
-        assert plan.observed.counts == {0: 1}
+        assert plan.observed == {0: 1}
 
     def test_no_matching_rule_means_cooperative(self):
         plan = BehaviorPlan(seed=1, rules=(

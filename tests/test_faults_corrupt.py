@@ -19,6 +19,7 @@ from repro.faults.corrupt import (BIT_FLIP, CORRUPT_KINDS,
                                   MISDIRECTED_WRITE, TORN_WRITE,
                                   CorruptPlan, CorruptRule,
                                   extent_corruption)
+from repro.faults.plan import _draw
 from repro.hw.disk import READ, DiskRequest
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.units import MS
@@ -101,18 +102,29 @@ class TestKindSemantics:
             CorruptRule(kind=BIT_FLIP, blocks=(100,)),))
         decision = plan.decide_read(_req(100), 0)
         assert decision.rule_index == 0 and decision.kind == TORN_WRITE
-        assert plan.observed == {0, 1}
-        assert plan.observed.counts == {0: 1, 1: 1}
+        assert plan.observed == {0: 1, 1: 1}
 
 
 class TestInjector:
     def test_note_write_advances_the_generation(self):
-        plan = CorruptPlan(seed=1)
-        assert plan.generation(100) == 0
-        plan.note_write(_req(100), 0)
-        plan.note_write(_req(100), MS)
-        assert plan.generation(100) == 2
-        assert plan.generation(200) == 0
+        """Each write of a blok moves its torn-write draw on to the next
+        generation; a write elsewhere leaves the blok's draw alone."""
+        plan = CorruptPlan(seed=2, rules=(
+            CorruptRule(kind=TORN_WRITE, rate=0.5),))
+
+        def torn(lba):
+            return plan.decide_read(_req(lba), 0) is not None
+
+        def drawn(lba, generation):
+            return _draw(2, TORN_WRITE, 0, lba, generation) < 0.5
+
+        seen = [torn(100)]
+        for now in (0, MS):
+            plan.note_write(_req(100), now)
+            seen.append(torn(100))
+        assert seen == [drawn(100, generation) for generation in range(3)]
+        assert seen == [False, True, False]   # each generation counted
+        assert torn(200) == drawn(200, 0) != drawn(200, 2)
 
     def test_injected_count_and_metrics(self):
         metrics = MetricsRegistry()
@@ -121,7 +133,7 @@ class TestInjector:
         assert plan.decide_read(_req(100), 0) is not None
         assert plan.decide_read(_req(200), 0) is None
         assert plan.injected == 1
-        assert plan.observed.counts == {0: 1}
+        assert plan.observed == {0: 1}
         snap = metrics.snapshot()
         assert snap.total("corruptions_injected_total",
                           kind=BIT_FLIP) == 1

@@ -69,7 +69,7 @@ class TestCrashPlan:
         ))
         decision = plan.decide("usd", 0)
         assert decision.rule_index == 0
-        assert plan.observed == {0, 1}   # the audit sees both firing
+        assert plan.observed == {0: 1, 1: 1}   # the audit sees both firing
 
     def test_max_crashes_budget_enforced_through_fired(self):
         plan = CrashPlan(seed=1, rules=(
@@ -93,7 +93,7 @@ class TestCrashState:
         assert plan.decide("usd", 100 * MS) is not None
         assert plan.decide("usd", 200 * MS) is None   # budget spent
         assert plan.injected == 1
-        assert plan.observed == {0}
+        assert plan.observed == {0: 1}
         assert plan.fired == {0: 1}
         # Heartbeat sequence numbers advance per component.
         assert plan._seq == {"balancer": 1, "usd": 2}

@@ -310,3 +310,87 @@ class TestMetricsOffAllocatesNothing:
         system = workload(metrics=True)
         assert _live_metric_objects() > before
         assert system.metrics.snapshot().names()
+
+
+
+_STREAM = {"sched": "usd", "client": "tiny-a-paged"}
+_DOMAIN = {"domain": "tiny-a"}
+
+#: The restarted pager's series at the end of the crash run below, as
+#: the parent commit's shared cells counted them (one cell per label
+#: set, accumulating across incarnations). Both incarnations charge
+#: the stream's retries and lax time and the domain's faults, events
+#: and activations, so a reader that drops or double-counts one fails.
+RESTART_SERIES = (
+    ("sched_served_ns_total", _STREAM, 26488828),
+    ("sched_lax_ns_total", _STREAM, 1618693),
+    ("sched_slack_ns_total", _STREAM, 0),
+    ("sched_retries_total", _STREAM, 5),
+    ("sched_retry_ns_total", _STREAM, 61474399),
+    ("sched_queue_depth", _STREAM, 1),
+    ("usd_transactions_total", {"client": "tiny-a-paged"}, 6),
+    ("usd_blocks_total", {"client": "tiny-a-paged"}, 96),
+    ("usd_retries_total", {"client": "tiny-a-paged"}, 5),
+    ("usd_txn_failures_total", {"client": "tiny-a-paged"}, 2),
+    ("mm_faults_resolved_total", dict(_DOMAIN, path="fast"), 16),
+    ("mm_faults_resolved_total", dict(_DOMAIN, path="slow"), 2),
+    ("mm_fault_failures_total", _DOMAIN, 0),
+    ("mm_revocations_handled_total", _DOMAIN, 0),
+    ("mm_watchdog_kills_total", _DOMAIN, 0),
+    ("mm_work_queue_depth", _DOMAIN, 0),
+    ("frames_allocated", _DOMAIN, 8),
+    ("frames_stack_depth", _DOMAIN, 8),
+    ("sdriver_io_failures_total", {"driver": "tiny-a-paged"}, 0),
+    ("sfs_remaps_total", {"swapfile": "tiny-a-paged"}, 2),
+    ("kernel_events_sent_total", _DOMAIN, 20),
+    ("kernel_faults_dispatched_total", _DOMAIN, 20),
+    ("kernel_activations_total", _DOMAIN, 20),
+    ("sim_events_dispatched_total", {}, 779),
+    ("sim_processes_spawned_total", {}, 15),
+)
+
+
+class TestRestartReadsEveryIncarnation:
+    """A supervised pager restart re-admits the domain and its USD
+    stream under their old names; every series read from an owner's
+    count must cover both incarnations, each exactly once."""
+
+    @pytest.fixture(scope="class")
+    def crash_run(self):
+        """The crash run of the sub-second crash mission, with a
+        transient storm and bad blocks on its disk."""
+        from repro.missions import MissionRunner, validate_mission
+        from tests.test_missions_crash import raw_crash_mission
+
+        mission = raw_crash_mission()
+        mission["runs"][1]["faults"] = [
+            {"kind": "transient", "rate": 0.4},
+            {"kind": "bad_block", "rate": 0.05}]
+        systems = []
+        build = MissionRunner._build_system
+
+        def capture(runner, topology):
+            systems.append(build(runner, topology))
+            return systems[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MissionRunner, "_build_system", capture)
+            report = MissionRunner(validate_mission(mission)).run()
+        supervision = report["runs"]["crash"]["supervision"]
+        assert supervision["pager:tiny-a"]["restarts"] == 1
+        return systems[1]
+
+    def test_both_incarnations_are_counted(self, crash_run):
+        domains = [d for d in crash_run.kernel.domains if d.name == "tiny-a"]
+        streams = [c for c in crash_run.usd.sched.clients
+                   if c.name == "tiny-a-paged"]
+        assert [d.dead for d in domains] == [True, False]
+        assert [c.departed for c in streams] == [True, False]
+        assert all(d.activations for d in domains)
+        assert all(c.retries for c in streams)
+
+    def test_every_read_series_matches_the_shared_cell(self, crash_run):
+        snap = crash_run.metrics.snapshot()
+        got = tuple((name, labels, snap.get(name, **labels))
+                    for name, labels, _value in RESTART_SERIES)
+        assert got == RESTART_SERIES

@@ -141,22 +141,47 @@ class TestHistogram:
         assert histogram.bounds == LATENCY_BUCKETS_NS
 
 
-class TestCollect:
-    def test_collectors_run_before_each_snapshot(self):
+class TestReaders:
+    def test_a_read_series_follows_its_owner(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("depth").child(queue="q")
         queue = []
-        registry.collect(lambda: gauge.set(len(queue)))
+        registry.gauge("depth").read(lambda: len(queue), queue="q")
         queue.extend("ab")
         assert registry.snapshot().get("depth", queue="q") == 2
         queue.pop()
         assert registry.snapshot().get("depth", queue="q") == 1
+        assert registry.gauge("depth").get(queue="q") == 1
 
-    def test_disabled_registry_ignores_collectors(self):
+    def test_readers_sharing_a_label_set_are_summed(self):
+        """Two incarnations under one name: the series is the sum, and
+        each label set stays separate."""
+        registry = MetricsRegistry()
+        counts = {"old": 3, "new": 4, "other": 5}
+        family = registry.counter("c_total")
+        family.read(lambda: counts["old"], domain="a")
+        family.read(lambda: counts["new"], domain="a")
+        family.read(lambda: counts["other"], domain="b")
+        snap = registry.snapshot()
+        assert snap.get("c_total", domain="a") == 7
+        assert snap.get("c_total", domain="b") == 5
+        assert family.get(domain="a") == 7
+
+    def test_read_counters_diff_like_pushed_ones(self):
+        registry = MetricsRegistry()
+        count = [2]
+        registry.counter("c_total").read(lambda: count[0], domain="a")
+        before = registry.snapshot()
+        count[0] = 9
+        assert registry.snapshot().diff(before).get("c_total",
+                                                    domain="a") == 7
+
+    def test_disabled_registry_reads_nothing(self):
         registry = MetricsRegistry(enabled=False)
         calls = []
-        registry.collect(lambda: calls.append(1))
+        registry.counter("c_total").read(lambda: calls.append(1) or 1,
+                                         domain="a")
         assert registry.snapshot().names() == []
+        assert registry.counter("c_total").get(domain="a") == 0
         assert calls == []
 
 

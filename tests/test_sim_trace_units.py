@@ -83,10 +83,6 @@ class TestTrace:
     def test_clients_in_first_appearance_order(self, trace):
         assert trace.clients() == ["a", "b"]
 
-    def test_last(self, trace):
-        assert trace.last(kind="txn", client="a").time == 30
-        assert trace.last(kind="missing") is None
-
     def test_event_end_property(self, trace):
         event = trace.filter(kind="txn", client="b")[0]
         assert event.end == 25
@@ -94,70 +90,3 @@ class TestTrace:
     def test_info_payload(self, trace):
         alloc = trace.filter(kind="alloc")[0]
         assert alloc.info["remaining"] == 99
-
-
-class TestTraceBetween:
-    """Edge cases for `between`: events straddling the window.
-
-    `filter(start=, end=)` selects on *start* time only, so an event
-    that began before the window but is still in progress inside it is
-    invisible to `filter` — `between` exists to catch exactly those.
-    """
-
-    @pytest.fixture
-    def trace(self):
-        trace = Trace("windows")
-        trace.record(0, "txn", "a", duration=100)     # straddles t0=50
-        trace.record(60, "txn", "b", duration=10)     # inside [50, 150)
-        trace.record(140, "txn", "a", duration=100)   # straddles t1=150
-        trace.record(0, "txn", "b", duration=2000)    # spans whole window
-        trace.record(40, "txn", "a", duration=10)     # ends exactly at t0
-        trace.record(150, "txn", "b", duration=10)    # starts exactly at t1
-        trace.record(50, "alloc", "a")                # zero-duration at t0
-        trace.record(150, "alloc", "b")               # zero-duration at t1
-        return trace
-
-    def test_straddling_events_included(self, trace):
-        selected = trace.between(50, 150)
-        starts = sorted(e.time for e in selected)
-        # straddle-t0, inside, straddle-t1, whole-span, zero@t0 — and
-        # nothing that only touches the window at a boundary instant.
-        assert starts == [0, 0, 50, 60, 140]
-
-    def test_filter_misses_the_straddlers(self, trace):
-        # The motivating asymmetry: filter by start time sees only 3.
-        assert len(trace.filter(start=50, end=150)) == 3
-        assert len(trace.between(50, 150)) == 5
-
-    def test_event_ending_at_t0_excluded(self, trace):
-        assert all(e.time != 40 for e in trace.between(50, 150))
-
-    def test_event_starting_at_t1_excluded(self, trace):
-        assert all(e.time != 150 for e in trace.between(50, 150))
-
-    def test_zero_duration_boundaries(self, trace):
-        selected = trace.between(50, 150, kind="alloc")
-        assert len(selected) == 1 and selected[0].time == 50
-
-    def test_kind_and_client_filters(self, trace):
-        assert {e.client for e in trace.between(50, 150, client="a")} == {"a"}
-        assert len(trace.between(50, 150, kind="txn", client="b")) == 2
-
-    def test_empty_window_at_event_start(self, trace):
-        assert trace.between(60, 60) == []
-
-    def test_inverted_window_rejected(self, trace):
-        with pytest.raises(ValueError):
-            trace.between(100, 50)
-
-    def test_overlap_duration_clamps_to_window(self, trace):
-        # straddle-t0 contributes 50, inside 10, straddle-t1 10,
-        # whole-span 100, zero@t0 0.
-        assert trace.overlap_duration(50, 150) == 170
-
-    def test_overlap_duration_vs_total_duration(self, trace):
-        # total_duration counts full durations of events *starting* in
-        # the window — both over- and under-counting; overlap_duration
-        # is exact.
-        assert trace.total_duration(start=50, end=150) == 10 + 100 + 0
-        assert trace.overlap_duration(50, 150) == 170

@@ -1,10 +1,10 @@
 """Docstring-coverage lint (a dependency-free stand-in for `interrogate`).
 
-Walks the given packages with :mod:`ast` and reports the fraction of
-definitions — modules, public classes, and public functions/methods —
-that carry a docstring. Exits non-zero if any package is below the
-threshold, so CI can gate on documentation coverage the same way it
-gates on tests.
+Walks the given packages (or single modules) with :mod:`ast` and
+reports the fraction of definitions — modules, public classes, and
+public functions/methods — that carry a docstring. Exits non-zero if
+any path is below the threshold or holds no Python file at all, so CI
+can gate on documentation coverage the same way it gates on tests.
 
 Private names (leading underscore), dunders other than ``__init__``
 modules, and trivial overrides are deliberately still counted when
@@ -13,7 +13,7 @@ a stated contract.
 
 Usage:
 
-    python tools/docstring_lint.py --threshold 90 src/repro/sim src/repro/exp
+    python tools/docstring_lint.py --threshold 90 src/repro/sim src/repro/system.py
 """
 
 import argparse
@@ -58,7 +58,10 @@ def scan_file(path):
 
 
 def scan_package(root):
-    """Aggregate coverage over every ``.py`` file under ``root``."""
+    """Aggregate coverage over every ``.py`` file under ``root`` (or of
+    ``root`` itself, if it is a file)."""
+    if os.path.isfile(root):
+        return scan_file(root)
     documented, missing = [], []
     for dirpath, _dirnames, filenames in os.walk(root):
         if "__pycache__" in dirpath:
@@ -75,7 +78,7 @@ def scan_package(root):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("packages", nargs="+",
-                        help="package directories to scan")
+                        help="package directories or modules to scan")
     parser.add_argument("--threshold", type=float, default=90.0,
                         help="minimum %% of definitions with docstrings")
     parser.add_argument("--verbose", action="store_true",
@@ -85,7 +88,9 @@ def main(argv=None):
     for package in args.packages:
         documented, missing = scan_package(package)
         total = len(documented) + len(missing)
-        coverage = 100.0 * len(documented) / total if total else 100.0
+        # A path with no Python file in it documents nothing: a typo in
+        # the path list must fail, not pass vacuously.
+        coverage = 100.0 * len(documented) / total if total else 0.0
         status = "ok" if coverage >= args.threshold else "FAIL"
         print("%-24s %5.1f%% (%d/%d documented)  [%s]"
               % (package, coverage, len(documented), total, status))
