@@ -33,11 +33,12 @@ Every Atropos instance (each CPU core, the system USD and every USBS
 volume) runs the same loop, and the loop is not a
 simulator process: it is a server of heap callbacks. A CPU burst is
 timed by two heap entries, or by none when nothing else is due before
-it ends (it runs ahead: :meth:`~repro.sim.core.Simulator._run_ahead`);
-a disk transaction's generator is stepped by the scheduler itself; and
-a crash kills the loop at an interrupt entry and replays the aborted
-item after :meth:`AtroposScheduler.restart`. Only the per-client
-refill loops are processes.
+it ends (it runs ahead: :meth:`~repro.sim.core.Simulator._run_ahead`).
+A disk transaction is a sequence of such segments, its attempts and
+retry backoffs, each timed exactly like a burst. A crash kills the loop
+at an interrupt entry and replays the aborted item after
+:meth:`AtroposScheduler.restart`. Only the per-client refill loops are
+processes.
 
 The scheduler records a trace compatible with the paper's Figure 7/8
 bottom plots: ``txn`` events (filled boxes), ``lax`` events (solid
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from heapq import heappush
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.sim.core import Interrupt, SimEvent, SimulationError
+from repro.sim.core import SimEvent
 from repro.sim.units import fmt_time
 
 
@@ -105,15 +106,20 @@ class QoSSpec:
 
 
 class WorkItem:
-    """One unit of non-preemptible work.
+    """One unit of non-preemptible work, timed on the heap by the
+    scheduler itself.
 
-    ``serve`` is a zero-argument callable returning a *generator* that
-    performs the work in simulated time (e.g. wraps
-    ``disk.transaction(...)``), or ``None`` for a plain burst: ``ns``
-    nanoseconds of service, which the scheduler times on the heap
-    itself (the CPU schedulers' items). ``done`` triggers with the
-    generator's return value (``None`` for a burst) when the item
-    completes.
+    With ``serve`` None the item is a plain burst: ``ns`` nanoseconds of
+    service (the CPU schedulers' items). Otherwise ``serve`` is an item
+    of one or more segments, such as a disk transaction and its retry
+    ladder (:class:`repro.usd.usd.Transaction`), with three methods:
+    ``begin()`` starts it and returns its first segment's ns;
+    ``advance()``, at each segment's end, returns the next segment's ns,
+    or None once the item is done, with its value in ``serve.result``,
+    or raises to fail the item; ``abort()`` gives back what a segment in
+    flight holds when a crash ends the item, and a replay calls
+    ``begin()`` again. ``done`` triggers with that value (``None`` for a
+    burst) when the item completes.
     """
 
     __slots__ = ("serve", "done", "label", "ns", "submitted_at")
@@ -192,9 +198,8 @@ class AtroposClient:
     def submit(self, serve, label="", ns=0):
         """Queue a work item; returns the completion SimEvent.
 
-        ``serve`` returns the item's generator; pass ``None`` and ``ns``
-        for a plain burst of that many nanoseconds (see
-        :class:`WorkItem`).
+        ``serve`` is the item's segments (see :class:`WorkItem`); pass
+        ``None`` and ``ns`` for a plain burst of that many nanoseconds.
         """
         if self.departed:
             raise RuntimeError("client %s has departed" % self.name)
@@ -233,8 +238,9 @@ class AtroposScheduler:
 
     * a burst (``serve is None``) pushes :meth:`_elapsed` at the end of
       its ``ns``, which pushes :meth:`_complete` for that instant;
-    * a generator item is stepped by :meth:`_step`, which registers
-      :meth:`_on_item` on each event the item yields;
+    * a transaction's segments are timed the same way, one after
+      another: :meth:`_complete` asks the item for its next segment
+      (:meth:`_advance`) and pushes :meth:`_elapsed` at that one's end;
     * a workless earliest-deadline client gets the same-instant guard,
       :meth:`_guard` then :meth:`_guarded`, and may then lax-wait with
       :meth:`_on_lax` on the first of a timer and a kick;
@@ -243,12 +249,13 @@ class AtroposScheduler:
 
     Where an entry would pop straight after the one pushing it, with
     nothing due in between, the loop runs ahead instead
-    (:meth:`~repro.sim.core.Simulator._run_ahead`): a burst with nothing
-    due before its end completes inside :meth:`_begin`, and
-    :meth:`_elapsed` and :meth:`_guard` call their same-instant
-    successor inline when nothing else is due at this instant.
-    docs/PERFORMANCE.md ("one CPU burst") explains why each of these
-    heap entries stays otherwise. A crash leaves the dead loop's
+    (:meth:`~repro.sim.core.Simulator._run_ahead`): a burst or segment
+    with nothing due before its end completes inside :meth:`_begin` or
+    :meth:`_advance`, and :meth:`_elapsed` and :meth:`_guard` call their
+    same-instant successor inline when nothing else is due at this
+    instant. docs/PERFORMANCE.md ("one CPU burst", "one disk
+    transaction") explains why each of these heap entries stays
+    otherwise. A crash leaves the dead loop's
     continuations registered: each one returns at once, since a timed
     entry carries the number of the loop's life that pushed it and an
     event callback must match :attr:`_waiting_on`.
@@ -273,7 +280,6 @@ class AtroposScheduler:
         self._alive = True
         self._life = 0           # bumped when a crash ends the loop
         self._waiting_on = None  # the event the loop waits for, if any
-        self._gen = None         # the in-flight item's generator
         self._started = 0        # when the in-flight item started
         self._charged = False    # whether it is charged to its client
         self._lax_client = None  # the workless client being guarded
@@ -283,7 +289,6 @@ class AtroposScheduler:
         self._complete_cb = self._complete
         self._guard_cb = self._guard
         self._guarded_cb = self._guarded
-        self._on_item_cb = self._on_item
         # The loop starts from the heap, after whatever the caller does
         # at this instant.
         sim._schedule(0, self._run)
@@ -337,7 +342,7 @@ class AtroposScheduler:
 
     # -- crash / restart -------------------------------------------------------
 
-    def crash(self, reason="crash"):
+    def crash(self):
         """Kill the scheduling loop mid-flight (crash-fault injection).
 
         The interrupt lands on the next dispatch at the current
@@ -346,13 +351,12 @@ class AtroposScheduler:
         provably dead before the item is touched. The in-flight item is
         returned to the head of its owner's queue (or, if the owner has
         departed, its event fails with :class:`ClientDepartedError`,
-        since nothing would replay it): ``WorkItem.serve``
-        is a zero-argument callable returning a fresh generator (or the
-        item is a plain burst of ``WorkItem.ns``), so re-serving after
-        :meth:`restart` replays the whole transaction or burst
-        (abort-and-replay). Partially-elapsed service time dies with
-        the loop uncharged; the replay is charged in full to the same
-        owner, so a crash can never shift cost onto a bystander.
+        since nothing would replay it), and after :meth:`restart` the
+        loop begins it again: the whole burst, or the whole transaction
+        from its first attempt (abort-and-replay). Partially-elapsed
+        service time dies with the loop uncharged; the replay is charged
+        in full to the same owner, so a crash can never shift cost onto
+        a bystander.
         """
         if self._alive:
             # What the loop waits for goes stale now, but the loop dies
@@ -360,27 +364,24 @@ class AtroposScheduler:
             # run, and ``running`` stays True until then.
             self._life += 1
             self._waiting_on = None
-            self.sim._schedule(0, self._interrupt, reason)
+            self.sim._schedule(0, self._interrupt)
         self.sim._schedule(0, self._abort_current)
 
-    def _interrupt(self, reason):
+    def _interrupt(self):
         """The interrupt entry: end the loop's life.
 
-        An in-flight item generator gets :class:`Interrupt` thrown in,
-        so its ``finally`` blocks run at this entry: a disk transaction
-        releases the drive here.
+        An in-flight item is aborted at this entry: a disk transaction
+        mid-attempt releases the drive here.
         """
         if not self._alive:
             return
         self._alive = False
         self._life += 1
         self._waiting_on = None
-        gen, self._gen = self._gen, None
-        if gen is not None:
-            try:
-                gen.throw(Interrupt(reason))
-            except Interrupt:
-                pass
+        if self._current is not None:
+            serve = self._current[1].serve
+            if serve is not None:
+                serve.abort()
 
     def _abort_current(self):
         if self._current is None:
@@ -523,53 +524,54 @@ class AtroposScheduler:
 
         A plain burst (``item.serve is None``) takes ``item.ns`` of heap
         time, or completes at once if it is empty or runs ahead to its
-        end; anything else runs the item's generator.
+        end. A transaction's first segment is timed the same way, except
+        that an empty one still waits for this instant's other entries.
         """
         sim = self.sim
         self._current = (client, item)
         self._started = sim._now
         self._charged = charged
-        if item.serve is None:
-            if not item.ns or sim._run_ahead(sim._now + item.ns):
+        serve = item.serve
+        if serve is None:
+            ns = item.ns
+            if not ns or sim._run_ahead(sim._now + ns):
                 self._finish(None)
                 return False
-            sim._seq += 1
-            heappush(sim._heap, (sim._now + item.ns, sim._seq,
-                                 self._elapsed_cb, self._life))
-            return True
-        try:
-            self._gen = item.serve()
-        except Exception as exc:
-            self._fail(exc)
-            return False
-        return self._step(None, None)
-
-    def _step(self, value, exc):
-        """Advance the in-flight item's generator; True while it waits.
-
-        The generator's return value completes the item; an exception
-        escaping it fails the item's event, and the loop goes on.
-        """
-        try:
-            if exc is None:
-                target = self._gen.send(value)
-            else:
-                target = self._gen.throw(exc)
-        except StopIteration as stop:
-            self._gen = None
-            self._finish(stop.value)
-            return False
-        except Exception as error:  # propagate to the submitter
-            self._gen = None
-            self._fail(error)
-            return False
-        if not isinstance(target, SimEvent):
-            raise SimulationError(
-                "%s: work item %r yielded %r; items must yield SimEvent "
-                "instances" % (self.name, self._current[1].label, target))
-        self._waiting_on = target
-        target.add_callback(self._on_item_cb)
+        else:
+            try:
+                ns = serve.begin()
+            except Exception as exc:
+                self._fail(exc)
+                return False
+            if sim._run_ahead(sim._now + ns):
+                return self._advance(serve)
+        sim._seq += 1
+        heappush(sim._heap, (sim._now + ns, sim._seq, self._elapsed_cb,
+                             self._life))
         return True
+
+    def _advance(self, serve):
+        """A transaction's segment has ended: time the next, running it
+        ahead while nothing is due first; True while one is in flight.
+
+        The item's value completes it; an exception it raises fails the
+        item's event, and the loop goes on.
+        """
+        sim = self.sim
+        while True:
+            try:
+                ns = serve.advance()
+            except Exception as exc:
+                self._fail(exc)
+                return False
+            if ns is None:
+                self._finish(serve.result)
+                return False
+            if not sim._run_ahead(sim._now + ns):
+                sim._seq += 1
+                heappush(sim._heap, (sim._now + ns, sim._seq,
+                                     self._elapsed_cb, self._life))
+                return True
 
     def _finish(self, value):
         """Measure and charge the in-flight item; trigger its event."""
@@ -603,8 +605,9 @@ class AtroposScheduler:
     # -- continuations: each returns at once if its loop has died --------------
 
     def _elapsed(self, life):
-        """A burst's time has passed: complete it at this instant, after
-        the entries already queued for it (inline if there are none)."""
+        """A burst's or segment's time has passed: complete it at this
+        instant, after the entries already queued for it (inline if
+        there are none)."""
         sim = self.sim
         if sim._run_ahead(sim._now):
             self._complete(life)
@@ -613,10 +616,15 @@ class AtroposScheduler:
         heappush(sim._heap, (sim._now, sim._seq, self._complete_cb, life))
 
     def _complete(self, life):
-        """Charge the burst, trigger its event and go on."""
+        """Charge the burst, trigger its event and go on; a transaction
+        goes on to its next segment, if it has one."""
         if life != self._life:
             return
-        self._finish(None)
+        serve = self._current[1].serve
+        if serve is None:
+            self._finish(None)
+        elif self._advance(serve):
+            return
         self._run()
 
     def _guard(self, life):
@@ -675,15 +683,3 @@ class AtroposScheduler:
             return
         self._waiting_on = None
         self._run()
-
-    def _on_item(self, event):
-        """The event an item generator yielded has triggered."""
-        if event is not self._waiting_on:
-            return
-        self._waiting_on = None
-        if event._is_error:
-            waiting = self._step(None, event._value)
-        else:
-            waiting = self._step(event._value, None)
-        if not waiting:
-            self._run()

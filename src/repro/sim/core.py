@@ -19,9 +19,8 @@ enough to express the whole Nemesis reproduction: one-shot events,
 timeouts, process join, interrupt (used to stop a balancer mid-wait),
 failure propagation, and AllOf/AnyOf combinators. Hot paths that need
 no generator frame of their own (domains, the FIFO CPU, every Atropos
-scheduling loop) run as plain heap callbacks instead, registered on
-events or pushed onto the heap; an Atropos loop steps a work item's
-generator itself, without a process around it.
+scheduling loop with its bursts and disk transactions) run as plain
+heap callbacks instead, registered on events or pushed onto the heap.
 
 A callback may also *run ahead*: move the clock forward inline and go
 on, instead of pushing entries that would pop back to back. The
@@ -30,9 +29,10 @@ simulator grants that (:meth:`Simulator._run_ahead`) only while
 dispatching, and only when no entry, bound or target could come first,
 so every simulated result is the same as without it. The FIFO CPU uses
 it for a burst that starts on an idle CPU, and every Atropos loop for a
-plain burst it starts; both also use it with the clock unmoved, to run
-a same-instant hand-off (a burst's completion, the Atropos guard)
-inline instead of queueing it behind nothing.
+plain burst or a disk transaction's segment it starts; both also use it
+with the clock unmoved, to run a same-instant hand-off (a burst's or
+segment's completion, the Atropos guard) inline instead of queueing it
+behind nothing.
 """
 
 import heapq
@@ -58,9 +58,7 @@ class SimulationError(Exception):
 class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
-    Supervisors use this to stop a balancer mid-sleep. A crashed Atropos
-    scheduling loop throws it into the work item it was serving, so the
-    item's ``finally`` blocks run.
+    Supervisors use this to stop a balancer mid-sleep.
     """
 
     def __init__(self, cause=None):

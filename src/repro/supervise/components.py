@@ -173,7 +173,7 @@ class SchedulerComponent(Component):
 
     def kill(self, reason):
         """Crash the loop; the in-flight item is requeued."""
-        self.sched.crash(reason)
+        self.sched.crash()
 
     def restart(self):
         """Respawn the loop; it replays the requeued item."""

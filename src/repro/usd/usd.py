@@ -90,6 +90,83 @@ class BlokLostError(Exception):
     """
 
 
+class Transaction:
+    """One work item: a disk transaction plus its whole retry ladder.
+
+    The scheduler times it one segment at a time, as it times a CPU
+    burst, inside the Atropos measurement window, so retry time (failed
+    attempts and backoff alike) is charged to the owning stream. The
+    segments alternate: an attempt on the drive, then, while the policy
+    allows another, a backoff before the next attempt. :meth:`begin`
+    starts attempt 1 and returns its ns; :meth:`advance`, called when a
+    segment's time has passed, returns the next segment's ns, or None
+    with :attr:`result` set, or raises :class:`TransactionFailed`.
+    :meth:`abort` releases the drive if a crash ends the item mid-attempt;
+    its replay calls :meth:`begin` again.
+    """
+
+    __slots__ = ("stream", "request", "result", "_disk", "_policy",
+                 "_deadline_ns", "_began", "_attempt_start", "_attempts",
+                 "_on_disk")
+
+    def __init__(self, stream, request):
+        self.stream = stream
+        self.request = request
+        self.result = None
+        self._disk = stream.usd.disk
+        self._on_disk = False
+
+    def begin(self):
+        """Start attempt 1; return its service time in ns."""
+        stream = self.stream
+        policy = self._policy = stream.retry
+        deadline_ns = policy.deadline_ns
+        if deadline_ns is None:
+            deadline_ns = stream.qos.period_ns
+        self._deadline_ns = deadline_ns
+        self._began = self._disk.sim._now
+        self._attempts = 0
+        return self._attempt()
+
+    def _attempt(self):
+        disk = self._disk
+        self._attempt_start = disk.sim._now
+        ns = disk.start(self.request)
+        self._on_disk = True
+        return ns
+
+    def advance(self):
+        """The segment in flight has ended: the next one's ns, or None
+        with :attr:`result` set; raises :class:`TransactionFailed` once
+        the retry budget or deadline is spent."""
+        if not self._on_disk:
+            return self._attempt()        # a backoff has passed
+        self._on_disk = False
+        result = self._disk.finish()
+        if result.ok:
+            self.result = result
+            return None
+        stream = self.stream
+        policy = self._policy
+        now = self._disk.sim._now
+        self._attempts = attempts = self._attempts + 1
+        backoff = policy.backoff_for(attempts)
+        if (attempts > policy.max_retries
+                or now + backoff - self._began > self._deadline_ns):
+            stream.failures += 1
+            raise TransactionFailed(result, attempts, stream.name)
+        stream.retries += 1
+        stream._sched_client.note_retry(now - self._attempt_start + backoff)
+        return backoff
+
+    def abort(self):
+        """A crash ended the item: release the drive if an attempt is on
+        it (a backoff holds nothing)."""
+        if self._on_disk:
+            self._on_disk = False
+            self._disk.release()
+
+
 class USDClient:
     """A stream: the client side of a USD attachment."""
 
@@ -134,37 +211,8 @@ class USDClient:
                                   tag=request.tag)
         self.transactions += 1
         self.blocks_moved += request.nblocks
-        return self._sched_client.submit(lambda req=request: self._serve(req),
+        return self._sched_client.submit(Transaction(self, request),
                                          label=request.kind)
-
-    def _serve(self, req):
-        """One work item: the transaction plus its whole retry ladder.
-
-        Runs inside the Atropos measurement window, so retry time —
-        failed attempts and backoff alike — is charged to this stream.
-        """
-        sim = self.usd.sim
-        policy = self.retry
-        deadline_ns = policy.deadline_ns
-        if deadline_ns is None:
-            deadline_ns = self.qos.period_ns if self.qos is not None \
-                else policy.backoff_cap_ns * (policy.max_retries + 1)
-        began = sim.now
-        attempts = 0
-        while True:
-            attempt_start = sim.now
-            result = yield from self.usd.disk.transaction(req)
-            if result.ok:
-                return result
-            attempts += 1
-            backoff = policy.backoff_for(attempts)
-            if (attempts > policy.max_retries
-                    or sim.now + backoff - began > deadline_ns):
-                self.failures += 1
-                raise TransactionFailed(result, attempts, self.name)
-            self.retries += 1
-            self._sched_client.note_retry(sim.now - attempt_start + backoff)
-            yield sim.timeout(backoff)
 
     # Expose the accounting for tests and traces.
     @property

@@ -185,9 +185,7 @@ class TestAtroposProperties:
         def loop():
             while True:
                 for duration in durations:
-                    done = client.submit(
-                        lambda d=duration: (yield sim.timeout(d * MS)))
-                    yield done
+                    yield client.submit(None, ns=duration * MS)
 
         sim.spawn(loop())
         horizon = 2 * SEC
@@ -211,7 +209,7 @@ class TestAtroposProperties:
 
         def loop(client, name):
             while True:
-                yield client.submit(lambda: (yield sim.timeout(1 * MS)))
+                yield client.submit(None, ns=1 * MS)
                 counts[name] += 1
 
         sim.spawn(loop(a, "a"))

@@ -11,11 +11,13 @@ from repro.sched.atropos import AtroposScheduler, QoSSpec
 from repro.sim.core import Simulator
 from repro.sim.trace import Trace
 from repro.sim.units import MS, SEC, US
+from tests.test_sched_atropos import Segments
 
 
 #: One step against a scheduler: (submit kind or None, client index,
 #: item length in us, depart the client?, crash?, restart?, then run
-#: for this many us). A step does each of its parts in that order.
+#: for this many us). A step does each of its parts in that order. An
+#: "item" or "failing" item takes its length in two segments.
 STEP = st.tuples(
     st.sampled_from((None, "burst", "item", "failing")),
     st.integers(0, 2), st.integers(0, 4000),
@@ -47,8 +49,7 @@ class TestSchedulerProperties:
 
                 def loop(client=client):
                     while True:
-                        yield client.submit(
-                            lambda: (yield sim.timeout(item_ms * MS)))
+                        yield client.submit(None, ns=item_ms * MS)
 
                 sim.spawn(loop())
             sim.run(until=2 * SEC)
@@ -70,7 +71,7 @@ class TestSchedulerProperties:
 
             def loop(client=client, name="c%d" % index):
                 while True:
-                    yield client.submit(lambda: (yield sim.timeout(2 * MS)))
+                    yield client.submit(None, ns=2 * MS)
                     counts[name] = counts.get(name, 0) + 1
 
             sim.spawn(loop())
@@ -104,8 +105,7 @@ class TestSchedulerProperties:
 
             def loop(client=client):
                 while True:
-                    yield client.submit(
-                        lambda: (yield sim.timeout(item_ns)))
+                    yield client.submit(None, ns=item_ns)
 
             sim.spawn(loop())
         sim.run(until=3 * SEC)
@@ -148,7 +148,7 @@ class TestEveryItemResolves:
               suppress_health_check=[HealthCheck.too_slow])
     def test_items_resolve_once_and_completed_work_is_charged(self, specs,
                                                               steps):
-        """Random submits (bursts, generator items and failing items),
+        """Random submits (bursts, two-segment items and failing items),
         ``depart(discard=True)``, ``crash()`` and ``restart()``: after a
         final restart and a drain, every submitted item's event has
         triggered or failed exactly once, and each client's served plus
@@ -161,12 +161,8 @@ class TestEveryItemResolves:
         submitted = []   # (client, ns, done, callbacks fired)
 
         def item(ns, fails):
-            def serve():
-                yield sim.timeout(ns)
-                if fails:
-                    raise IOError("item failed")
-                return ns
-            return serve
+            return Segments(ns // 2, ns - ns // 2, value=ns,
+                            error=IOError("item failed") if fails else None)
 
         for kind, index, length, depart, crash, restart, gap in steps:
             client = clients[index % len(clients)]
