@@ -181,9 +181,6 @@ class MMU:
         # consulted before the TLB/PT walk. While it is empty the
         # classic per-page path is untouched.
         self.seg = SegTranslation()
-        # machine.page_shift is a computed property; cache it so the
-        # per-access VPN extraction is a single shift.
-        self._page_shift = machine.page_shift
 
     def _lookup(self, vpn):
         """TLB-then-page-table translation lookup."""
@@ -201,7 +198,7 @@ class MMU:
         Returns an :class:`AccessResult`; never raises for faults — the
         kernel decides what to do with them (dispatch to the domain).
         """
-        vpn = va >> self._page_shift
+        vpn = va >> self.machine.page_shift
         seg = self.seg
         if seg.extents:
             extent = seg.resolve(vpn)

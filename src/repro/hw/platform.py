@@ -8,6 +8,7 @@ paper's experiments.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 KB = 1024
@@ -50,9 +51,11 @@ class Machine:
         if self.vas_bytes % self.page_size:
             raise ValueError("vas_bytes must be page-aligned")
 
-    @property
+    @cached_property
     def page_shift(self):
-        """log2(page_size)."""
+        """log2(page_size), computed once per machine: the frozen
+        dataclass keeps it in the instance dict, where every
+        :meth:`page_of` reads it."""
         return self.page_size.bit_length() - 1
 
     @property

@@ -61,6 +61,8 @@ class ChecksummedSwap:
         self.sim = sim
         self.inner = inner
         self.name = inner.name
+        self._write_name = "integrity.%s.write" % self.name
+        self._read_name = "integrity.%s.read" % self.name
         #: Called as ``on_lost(swap, blok, kind, source)`` when a
         #: detected corruption proves unrepairable — the escalation
         #: ladder's feed (a repaired transient never escalates).
@@ -136,7 +138,7 @@ class ChecksummedSwap:
         generation = self._next_gen.get(blok, 0) + 1
         self._next_gen[blok] = generation
         digest = checksum(blok_payload(self.name, blok, generation))
-        done = self.sim.event("integrity.%s.write(%d)" % (self.name, blok))
+        done = self.sim.event(self._write_name)
         inner = self.inner.write(blok)
         inner.add_callback(
             lambda ev, b=blok, g=generation, d=digest:
@@ -158,7 +160,7 @@ class ChecksummedSwap:
         triggers quarantine + one repair re-read before the event
         settles; an unrepairable blok fails the event with
         :class:`CorruptDataError`."""
-        done = self.sim.event("integrity.%s.read(%d)" % (self.name, blok))
+        done = self.sim.event(self._read_name)
         if blok in self.quarantined:
             # Already declared: fail fast, no disk time wasted. The
             # paged driver retires the blok exactly as for a lost one.

@@ -122,6 +122,7 @@ class MMEntry:
         self.revocation_channel = domain.create_channel(
             "revocation", handler=self._revocation_notification)
         frames_client.revocation_channel = self.revocation_channel
+        self._watchdog_cb = self._watchdog_fire
         self._slots = []
         for index in range(workers):
             slot = _WorkerSlot()
@@ -242,10 +243,9 @@ class MMEntry:
                                             va=payload.va)
                     slot.fault = payload
                     if self.fault_timeout is not None:
-                        self.sim.call_after(
-                            self.fault_timeout,
-                            lambda s=slot, f=payload:
-                                self._watchdog_fire(s, f))
+                        self.sim._schedule(self.fault_timeout,
+                                           self._watchdog_cb,
+                                           (slot, payload))
                     try:
                         ok = yield from driver.handle_slow(payload)
                     except FaultTimeout:
@@ -267,8 +267,9 @@ class MMEntry:
             self._work_event = self.sim.event("mmentry.work")
             yield Wait(self._work_event)
 
-    def _watchdog_fire(self, slot, fault):
-        """The per-fault resolution deadline passed: unwedge the worker.
+    def _watchdog_fire(self, watched):
+        """The per-fault resolution deadline of ``watched``, a ``(slot,
+        fault)`` pair, passed: unwedge the worker.
 
         If the worker already moved on, this is a no-op. Otherwise the
         worker is blocked on an IO event that never (or too late)
@@ -276,6 +277,7 @@ class MMEntry:
         :class:`FaultTimeout` at it, so the faulting thread is killed
         instead of the whole MMEntry wedging behind one stuck fault.
         """
+        slot, fault = watched
         if slot.fault is not fault:
             return   # resolved (or failed) in time
         worker = slot.thread

@@ -273,7 +273,8 @@ class AtroposScheduler:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.rollover = rollover
         self.clients = []
-        self._wake = sim.event("%s.wake" % name)
+        self._wake_name = "%s.wake" % name
+        self._wake = sim.event(self._wake_name)
         self._next_index = 0
         self._current = None     # (client, item) while one is in flight
         # The loop's state between its callbacks.
@@ -284,11 +285,17 @@ class AtroposScheduler:
         self._charged = False    # whether it is charged to its client
         self._lax_client = None  # the workless client being guarded
         self._lax_started = 0    # when its lax wait began
+        self._lax_waits = 0      # lax waits begun: each one's token
+        self._lax_wait = None    # the open lax wait's token, if any
         # Bound once: one of these is pushed or registered per wait.
         self._elapsed_cb = self._elapsed
         self._complete_cb = self._complete
         self._guard_cb = self._guard
         self._guarded_cb = self._guarded
+        self._lax_timer_cb = self._lax_timer
+        self._lax_expired_cb = self._lax_expired
+        self._lax_kicked_cb = self._lax_kicked
+        self._lax_end_cb = self._lax_end
         # The loop starts from the heap, after whatever the caller does
         # at this instant.
         sim._schedule(0, self._run)
@@ -364,6 +371,7 @@ class AtroposScheduler:
             # run, and ``running`` stays True until then.
             self._life += 1
             self._waiting_on = None
+            self._lax_wait = None
             self.sim._schedule(0, self._interrupt)
         self.sim._schedule(0, self._abort_current)
 
@@ -429,7 +437,7 @@ class AtroposScheduler:
 
     def _wait_kick(self):
         if self._wake.triggered:
-            self._wake = self.sim.event("%s.wake" % self.name)
+            self._wake = SimEvent(self.sim, self._wake_name)
         return self._wake
 
     def _refill_loop(self, client):
@@ -642,7 +650,8 @@ class AtroposScheduler:
 
         Lax wait: the earliest-deadline client has no work. Hold the
         resource for it, charging the wait, until work arrives or its
-        lax/remaining budget runs out.
+        lax/remaining budget runs out: a timed entry carrying the wait's
+        token, and :meth:`_lax_kicked` registered on the wake event.
         """
         if life != self._life:
             return
@@ -653,19 +662,67 @@ class AtroposScheduler:
             if allowance > 0:
                 sim = self.sim
                 self._lax_started = sim._now
-                timer = sim.timeout(allowance)
-                self._waiting_on = either = sim.any_of(
-                    [timer, self._wait_kick()])
-                either.add_callback(self._on_lax)
+                self._lax_waits = self._lax_wait = token = \
+                    self._lax_waits + 1
+                sim._seq += 1
+                heappush(sim._heap, (sim._now + allowance, sim._seq,
+                                     self._lax_timer_cb, token))
+                self._waiting_on = wake = self._wait_kick()
+                wake.add_callback(self._lax_kicked_cb)
                 return
             client.lax_exhausted = True
         self._run()
 
-    def _on_lax(self, event):
-        """A lax wait ended: charge the time waited and go on."""
-        if event is not self._waiting_on:
+    def _lax_timer(self, token):
+        """A lax wait's allowance has passed: end the wait at this
+        instant, after the entries already queued for it (inline if
+        there are none), unless a kick or a crash ended it first."""
+        if token != self._lax_wait:
             return
+        sim = self.sim
+        if sim._run_ahead(sim._now):
+            self._lax_expired(token)
+            return
+        sim._seq += 1
+        heappush(sim._heap, (sim._now, sim._seq, self._lax_expired_cb,
+                             token))
+
+    def _lax_expired(self, token):
+        """The timer ends the wait, if a kick has not ended it since."""
+        if token == self._lax_wait:
+            self._lax_close()
+
+    def _lax_kicked(self, event):
+        """The wake event the lax wait registered on was kicked: end the
+        wait, if it is still open.
+
+        A wait whose timer ended it leaves its registration behind; if
+        the loop lax-waits again on the same wake event, the first of
+        these to run ends the open wait. Nothing else registers on the
+        wake event between them, so they pop back to back and that is
+        the instant and heap position at which the open wait's own
+        registration would have ended it.
+        """
+        if event is self._waiting_on and self._lax_wait is not None:
+            self._lax_close()
+
+    def _lax_close(self):
+        """Close the open lax wait, and charge it at this instant after
+        the entries already queued for it (inline if there are none)."""
+        self._lax_wait = None
         self._waiting_on = None
+        sim = self.sim
+        if sim._run_ahead(sim._now):
+            self._lax_end(self._life)
+            return
+        sim._seq += 1
+        heappush(sim._heap, (sim._now, sim._seq, self._lax_end_cb,
+                             self._life))
+
+    def _lax_end(self, life):
+        """A lax wait ended: charge the time waited and go on."""
+        if life != self._life:
+            return
         client = self._lax_client
         waited = self.sim._now - self._lax_started
         if waited > 0:

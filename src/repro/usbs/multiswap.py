@@ -98,6 +98,8 @@ class MultiVolumeSwap:
         self.per_shard = min(shard.nbloks for _volume, shard in shards)
         self.nbloks = self.per_shard * len(self.slots)
         self.channel = FanoutChannel(self)
+        self._defer_name = "usbs.%s.deferred" % name
+        self._defer_proc_name = "usbs-defer-%s" % name
         self.reads = 0
         self.writes = 0
         self._draining = {}    # slot index -> old _Slot (drain in progress)
@@ -235,9 +237,9 @@ class MultiVolumeSwap:
         op = shard.read if kind == READ else shard.write
         if shard.channel.can_submit:
             return op(local)
-        done = self.sim.event("usbs.%s.%s(%d)" % (self.name, kind, local))
+        done = self.sim.event(self._defer_name)
         self.sim.spawn(self._submit_when_free(shard, kind, local, done),
-                       name="usbs-defer-%s-%s-%d" % (self.name, kind, local))
+                       name=self._defer_proc_name)
         return done
 
     def _submit_when_free(self, shard, kind, local, done):

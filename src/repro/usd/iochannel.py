@@ -13,14 +13,24 @@ from repro.hw.disk import DiskRequest
 
 
 class IOChannel:
-    """At most ``depth`` outstanding transactions on a USD client."""
+    """At most ``depth`` outstanding transactions on a USD client.
 
-    def __init__(self, sim, usd_client, depth=1):
+    ``on_complete`` is the owner's completion hook: the channel calls
+    ``on_complete(event)`` for each transaction, inside its own
+    completion entry, once the slot is free and the slot waiters are
+    woken. An owner that needs to act on each completion (trigger its
+    own event, submit the next read) uses it instead of a second
+    callback on the transaction's event, which would be flushed straight
+    after the channel's and so cost a heap entry for nothing.
+    """
+
+    def __init__(self, sim, usd_client, depth=1, on_complete=None):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.sim = sim
         self.usd_client = usd_client
         self.depth = depth
+        self.on_complete = on_complete
         self.outstanding = 0
         self._slot_waiters = []
         self.submitted = 0
@@ -58,10 +68,13 @@ class IOChannel:
             # not leak channel capacity, or a fault storm would wedge
             # the client behind a permanently-full channel.
             self.failed += 1
-        waiters, self._slot_waiters = self._slot_waiters, []
-        for waiter in waiters:
-            if not waiter.triggered:
-                waiter.trigger(None)
+        if self._slot_waiters:
+            waiters, self._slot_waiters = self._slot_waiters, []
+            for waiter in waiters:
+                if not waiter.triggered:
+                    waiter.trigger(None)
+        if self.on_complete is not None:
+            self.on_complete(event)
 
     def slot(self):
         """An event that triggers when a submission slot is available."""

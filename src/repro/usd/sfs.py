@@ -26,6 +26,7 @@ spare region.
 
 from repro.hw.disk import DiskRequest, READ, WRITE
 from repro.obs.metrics import NULL_REGISTRY
+from repro.sim.core import SimEvent
 from repro.usd.iochannel import IOChannel
 
 #: (start, nblocks) of a disk's swap partition: the system disk's and
@@ -101,7 +102,12 @@ class SwapFile:
         self.nbloks = extent.nblocks // self.blok_blocks
         if self.nbloks == 0:
             raise ExtentError("extent smaller than one blok")
-        self.channel = IOChannel(sim, usd_client, depth=depth)
+        self.channel = IOChannel(sim, usd_client, depth=depth,
+                                 on_complete=self._complete)
+        # Each transaction in flight, by its channel event: the event
+        # this swap file returned for it, its kind and its blok.
+        self._inflight = {}
+        self._done_name = "sfs.%s" % name
         self.reads = 0
         self.writes = 0
         # Bad-block remapping state.
@@ -175,15 +181,17 @@ class SwapFile:
     # -- submission with write-failure remapping ---------------------------
 
     def _submit(self, kind, blok):
-        done = self.sim.event("sfs.%s.%s(%d)" % (self.name, kind, blok))
+        done = SimEvent(self.sim, self._done_name)
         inner = self.channel.submit(DiskRequest(
             kind=kind, lba=self._lba(blok), nblocks=self.blok_blocks,
             client=self.name))
-        inner.add_callback(
-            lambda ev, k=kind, b=blok: self._complete(ev, done, k, b))
+        self._inflight[inner] = (done, kind, blok)
         return done
 
-    def _complete(self, inner, done, kind, blok):
+    def _complete(self, inner):
+        """The channel's completion hook: settle the swap file's event,
+        or remap a persistently failed write and rewrite it."""
+        done, kind, blok = self._inflight.pop(inner)
         if inner.ok:
             done.trigger(inner._value)
             return
@@ -204,8 +212,9 @@ class SwapFile:
     def _rewrite(self, done, blok):
         """Rewrite a remapped blok once a channel slot is free.
 
-        Chains back through :meth:`_complete`, so a spare that is itself
-        bad triggers a further remap until spares run out.
+        Its completion comes back through :meth:`_complete`, so a spare
+        that is itself bad triggers a further remap until spares run
+        out.
         """
         while not self.channel.can_submit:
             yield self.channel.slot()
@@ -218,8 +227,7 @@ class SwapFile:
             if not done.triggered:
                 done.fail(exc)
             return
-        inner.add_callback(
-            lambda ev, b=blok: self._complete(ev, done, WRITE, b))
+        self._inflight[inner] = (done, WRITE, blok)
 
 
 class SwapFileSystem:
