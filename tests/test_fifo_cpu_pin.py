@@ -57,7 +57,7 @@ EXPECTED_STEPS = {
 }
 EXPECTED_COMPLETIONS = 771
 EXPECTED_DIGEST = "39f1ae92d3c0b553da687cf012746dab"
-EXPECTED_EVENTS = 2217
+EXPECTED_EVENTS = 2129
 
 
 def _pager(sim, stretch, steps, key, sleeps):

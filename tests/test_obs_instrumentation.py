@@ -345,7 +345,7 @@ RESTART_SERIES = (
     ("kernel_events_sent_total", _DOMAIN, 20),
     ("kernel_faults_dispatched_total", _DOMAIN, 20),
     ("kernel_activations_total", _DOMAIN, 20),
-    ("sim_events_dispatched_total", {}, 742),
+    ("sim_events_dispatched_total", {}, 730),
     ("sim_processes_spawned_total", {}, 15),
 )
 

@@ -73,7 +73,7 @@ EXPECTED_STREAMS = {
 EXPECTED_BUSY_NS = 549786629
 EXPECTED_COMPLETIONS = 160
 EXPECTED_DIGEST = "5292de3cabcfefe78f0bbbfa6313971c"
-EXPECTED_EVENTS = 1057
+EXPECTED_EVENTS = 945
 
 
 def _request(kind, base, index):
