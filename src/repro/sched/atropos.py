@@ -242,8 +242,12 @@ class AtroposScheduler:
       another: :meth:`_complete` asks the item for its next segment
       (:meth:`_advance`) and pushes :meth:`_elapsed` at that one's end;
     * a workless earliest-deadline client gets the same-instant guard,
-      :meth:`_guard` then :meth:`_guarded`, and may then lax-wait with
-      :meth:`_on_lax` on the first of a timer and a kick;
+      :meth:`_guard` then :meth:`_guarded`, and may then lax-wait: a
+      timed entry, :meth:`_lax_timer`, carries the wait's token, and
+      :meth:`_lax_kicked` is registered on the wake event. The timer
+      closes the wait one same-instant hop later (:meth:`_lax_close`)
+      and a kick at once, whichever comes first, and the charge
+      (:meth:`_lax_end`) is one more hop;
     * with nothing runnable the loop waits for a kick in
       :meth:`_on_wake`.
 
@@ -251,14 +255,15 @@ class AtroposScheduler:
     nothing due in between, the loop runs ahead instead
     (:meth:`~repro.sim.core.Simulator._run_ahead`): a burst or segment
     with nothing due before its end completes inside :meth:`_begin` or
-    :meth:`_advance`, and :meth:`_elapsed` and :meth:`_guard` call their
-    same-instant successor inline when nothing else is due at this
-    instant. docs/PERFORMANCE.md ("one CPU burst", "one disk
-    transaction") explains why each of these heap entries stays
-    otherwise. A crash leaves the dead loop's
-    continuations registered: each one returns at once, since a timed
-    entry carries the number of the loop's life that pushed it and an
-    event callback must match :attr:`_waiting_on`.
+    :meth:`_advance`, and :meth:`_elapsed`, :meth:`_guard` and the lax
+    wait's hops call their same-instant successor inline when nothing
+    else is due at this instant. docs/PERFORMANCE.md ("one CPU burst",
+    "one disk transaction", "one USD client completion") explains why
+    each of these heap entries stays otherwise. A crash leaves the dead
+    loop's continuations registered: each one returns at once, since a
+    timed entry carries the number of the loop's life that pushed it
+    (or the token of a lax wait the crash closed) and an event callback
+    must match :attr:`_waiting_on`.
     """
 
     def __init__(self, sim, name="atropos", trace=None, rollover=True,
@@ -293,7 +298,7 @@ class AtroposScheduler:
         self._guard_cb = self._guard
         self._guarded_cb = self._guarded
         self._lax_timer_cb = self._lax_timer
-        self._lax_expired_cb = self._lax_expired
+        self._lax_close_cb = self._lax_close
         self._lax_kicked_cb = self._lax_kicked
         self._lax_end_cb = self._lax_end
         # The loop starts from the heap, after whatever the caller does
@@ -681,34 +686,31 @@ class AtroposScheduler:
             return
         sim = self.sim
         if sim._run_ahead(sim._now):
-            self._lax_expired(token)
+            self._lax_close(token)
             return
         sim._seq += 1
-        heappush(sim._heap, (sim._now, sim._seq, self._lax_expired_cb,
+        heappush(sim._heap, (sim._now, sim._seq, self._lax_close_cb,
                              token))
-
-    def _lax_expired(self, token):
-        """The timer ends the wait, if a kick has not ended it since."""
-        if token == self._lax_wait:
-            self._lax_close()
 
     def _lax_kicked(self, event):
         """The wake event the lax wait registered on was kicked: end the
         wait, if it is still open.
 
-        A wait whose timer ended it leaves its registration behind; if
-        the loop lax-waits again on the same wake event, the first of
-        these to run ends the open wait. Nothing else registers on the
-        wake event between them, so they pop back to back and that is
-        the instant and heap position at which the open wait's own
-        registration would have ended it.
+        A wait whose timer ended it leaves its registration behind, so
+        when the loop lax-waits again on the same wake event, the first
+        registration to run closes the open wait. Nothing else registers
+        on the wake event between them, so they pop back to back, and
+        the charge lands behind the last of them either way.
         """
         if event is self._waiting_on and self._lax_wait is not None:
-            self._lax_close()
+            self._lax_close(self._lax_wait)
 
-    def _lax_close(self):
-        """Close the open lax wait, and charge it at this instant after
-        the entries already queued for it (inline if there are none)."""
+    def _lax_close(self, token):
+        """Close lax wait ``token`` if it is still open, and charge it at
+        this instant after the entries already queued for it (inline if
+        there are none)."""
+        if token != self._lax_wait:
+            return
         self._lax_wait = None
         self._waiting_on = None
         sim = self.sim

@@ -19,8 +19,10 @@ enough to express the whole Nemesis reproduction: one-shot events,
 timeouts, process join, interrupt (used to stop a balancer mid-wait),
 failure propagation, and AllOf/AnyOf combinators. Hot paths that need
 no generator frame of their own (domains, the FIFO CPU, every Atropos
-scheduling loop with its bursts and disk transactions) run as plain
-heap callbacks instead, registered on events or pushed onto the heap.
+scheduling loop with its bursts, disk transactions and lax waits, and
+the USD's clients: IO channels, swap files and the file-system client)
+run as plain heap callbacks instead, registered on events or pushed
+onto the heap.
 
 A callback may also *run ahead*: move the clock forward inline and go
 on, instead of pushing entries that would pop back to back. The
@@ -31,8 +33,9 @@ so every simulated result is the same as without it. The FIFO CPU uses
 it for a burst that starts on an idle CPU, and every Atropos loop for a
 plain burst or a disk transaction's segment it starts; both also use it
 with the clock unmoved, to run a same-instant hand-off (a burst's or
-segment's completion, the Atropos guard) inline instead of queueing it
-behind nothing.
+segment's completion, the Atropos guard, the end of a lax wait) inline
+instead of queueing it behind nothing, as the file-system client does
+to submit its next read.
 """
 
 import heapq
