@@ -28,14 +28,15 @@ EXTENT_BLOCKS = 262144
 class FileSystemClient:
     """Pipelined sequential reader on its own partition.
 
-    The client keeps the channel full. Its first read is submitted two
-    same-instant hops after construction, and each further read one hop
-    after the last while a slot is free; once the channel is full, the
-    next read waits for a completion (:meth:`_on_complete`). A hop runs
-    inline when nothing else is due at its instant, and is otherwise one
-    heap entry queued behind whatever is, so the reads enter the USD at
-    the instants and in the order a process that waited for a channel
-    slot before each submission would give them.
+    The client keeps the channel full. Its constructor pushes one entry,
+    and the first read is submitted one same-instant hop after it; each
+    further read follows one hop after the last while a slot is free,
+    and once the channel is full, the next read waits for a completion
+    (:meth:`_on_complete`). A hop runs inline when nothing else is due
+    at its instant, and is otherwise one heap entry queued behind
+    whatever is, so the reads enter the USD at the instants and in the
+    order a process that waited for a channel slot before each
+    submission would give them.
     """
 
     def __init__(self, system, name, qos, depth=16):

@@ -667,8 +667,8 @@ class AtroposScheduler:
             if allowance > 0:
                 sim = self.sim
                 self._lax_started = sim._now
-                self._lax_waits = self._lax_wait = token = \
-                    self._lax_waits + 1
+                self._lax_waits += 1
+                self._lax_wait = token = self._lax_waits
                 sim._seq += 1
                 heappush(sim._heap, (sim._now + allowance, sim._seq,
                                      self._lax_timer_cb, token))

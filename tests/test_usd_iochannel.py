@@ -111,3 +111,28 @@ class TestFailureAccounting:
         assert channel.outstanding == 0
         assert channel.can_submit
         assert client.failures == 2
+
+
+class TestOwnerHook:
+    def test_hook_runs_in_the_completion_entry_after_slot_waiters(self,
+                                                                   sim):
+        """The owner's hook sees each transaction, failed or not, with
+        its slot already free and the slot's waiters already woken, in
+        the channel's own completion entry: a run until the slot
+        triggers stops after that entry, and the hook has run."""
+        injector = FaultPlan(seed=1, rules=(
+            FaultRule(kind=TRANSIENT, rate=1.0, lba_start=500_016,
+                      lba_end=500_032),))
+        usd = USD(sim, Disk(sim, injector=injector), retry=NO_RETRY)
+        seen = []
+        channel = IOChannel(sim, usd.admit("chan", QOS), depth=1,
+                            on_complete=lambda event: seen.append(
+                                (event.ok, channel.outstanding,
+                                 slot.triggered)))
+        for index in range(2):
+            channel.submit(read_at(index))
+            slot = channel.slot()
+            assert not slot.triggered
+            sim.run_until_triggered(slot, limit=1 * SEC)
+            assert seen == [(True, 0, True), (False, 0, True)][:index + 1]
+        assert (channel.completed, channel.failed) == (1, 1)
