@@ -54,12 +54,12 @@ def test_pairs_alternate_and_compare(tmp_path, capsys):
     out = tmp_path / "BENCH_test.json"
     assert _load("bench_pairs").main(
         [parent, change, "--workload", "fs_isolation", "--seed", "4242",
-         "--pairs", "3", "--seconds", "2", "--out", str(out)]) == 0
+         "--pairs", "3", "--out", str(out)]) == 0
     log = (tmp_path / "log").read_text().splitlines()
     assert [line.split()[0] for line in log] == [
         "old", "new", "new", "old", "old", "new"]
     assert set(line.split(" ", 1)[1] for line in log) == {
-        "--workload fs_isolation --seed 4242 --trace 0 --seconds 2.0"}
+        "--workload fs_isolation --seed 4242 --trace 0"}
     runs = json.loads(out.read_text())
     assert [(run["pair"], run["side"], run["commit"]) for run in runs] == [
         (1, "parent", "old"), (1, "change", "new"),

@@ -16,7 +16,7 @@ then compares the two sides.
 Usage::
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--seed S] [--pairs N] [--seconds T] --out BENCH_<date>.json
+        [--seed S] [--pairs N] --out BENCH_<date>.json
 """
 
 import argparse
@@ -37,12 +37,10 @@ def commit_of(checkout):
     return os.path.basename(os.path.normpath(checkout))
 
 
-def run_once(checkout, workload, seed, seconds=None):
+def run_once(checkout, workload, seed):
     """One ``perfbench/run.py --trace 0`` run; its final JSON line."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     proc = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True)
     lines = proc.stdout.strip().splitlines()
@@ -62,8 +60,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1999)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="perfbench's --seconds (default: its own)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     checkouts = dict(zip(SIDES, (args.parent_dir, args.change_dir)))
@@ -78,8 +74,7 @@ def main(argv=None):
     for pair in range(first, first + args.pairs):
         order = SIDES if (pair - first) % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_once(checkouts[side], args.workload, args.seed,
-                              args.seconds)
+            result = run_once(checkouts[side], args.workload, args.seed)
             record = {"workload": args.workload, "seed": args.seed,
                       "side": side, "commit": commits[side]}
             record.update(result)
