@@ -7,8 +7,10 @@ before each submission (``yield channel.slot()``), the way the client
 was first modelled. Beside a paged writer, the two must give the same
 simulation: Hypothesis draws the channel depth, the client's QoS and
 the ``run(until=...)`` slices, and the test compares every USD trace
-record, the instant each read completes, the bytes each client read and
-the writer's progress.
+record, the instant each read completes with the reads then in flight
+and submitted, the reads submitted as probes interleave with the
+channel's first fill, the bytes each client read and the writer's
+progress.
 """
 
 from hypothesis import given, settings
@@ -70,25 +72,40 @@ def run(reader_cls, depth, qos, cuts):
     system = NemesisSystem()
     sim = system.sim
     reader = reader_cls(system, "fsclient", qos, depth=depth)
+    channel = reader.channel
     completions = []
-    submit = reader.usd_client.submit
+    submit = channel.submit
 
     def recorded(request):
+        # Registered after the channel's own callback, so it runs
+        # behind the channel's completion entry and sees whether the
+        # freed slot has been refilled yet.
         done = submit(request)
-        done.add_callback(
-            lambda event: completions.append((sim.now, event.ok)))
+        done.add_callback(lambda event: completions.append(
+            (sim.now, event.ok, channel.outstanding,
+             reader.usd_client.transactions)))
         return done
 
-    reader.usd_client.submit = recorded
+    channel.submit = recorded
     writer = PagingApplication(system, "writer", WRITER_QOS,
                                mode="write-loop", stretch_bytes=1 * MB,
                                driver_frames=2, swap_bytes=4 * MB)
+    fill = []
+
+    def watch_fill():
+        # A chain of same-instant probes, each queued by the last, that
+        # interleaves with the reads filling the channel at time 0.
+        fill.append(reader.usd_client.transactions)
+        if len(fill) < 2 * depth + 2:
+            sim.call_at(sim.now, watch_fill)
+
+    sim.call_at(sim.now, watch_fill)
     for cut in sorted(set(cuts)):
         sim.run(until=cut)
     sim.run(until=RUN_NS)
     records = [(e.time, e.kind, e.client, e.duration,
                 tuple(sorted(e.info.items()))) for e in system.usd_trace]
-    return {"records": records, "completions": completions,
+    return {"records": records, "completions": completions, "fill": fill,
             "bytes_read": reader.bytes_read,
             "writer_bytes": writer.bytes_processed}
 
@@ -108,5 +125,6 @@ def test_client_matches_the_process_reader(depth, period_ms, share,
     expected = run(ProcessReader, depth, qos, cuts)
     actual = run(FileSystemClient, depth, qos, cuts)
     assert expected["completions"]
-    for key in ("records", "completions", "bytes_read", "writer_bytes"):
+    for key in ("records", "completions", "fill", "bytes_read",
+                "writer_bytes"):
         assert actual[key] == expected[key], key
