@@ -8,10 +8,10 @@ pair 2 the change, and so on. Every run's final JSON line is stored in
 OUT with its ``workload``, ``seed``, ``side`` (``parent`` or
 ``change``), ``pair`` and ``commit`` (``git rev-parse --short HEAD`` of
 a clone, or the directory's name), and OUT is rewritten after every
-run, so a cut session keeps every run it finished. An existing OUT is
-extended: its runs are kept, and pairs of the same workload and seed
-are numbered on from its last. ``python3 tools/bench_compare.py OUT``
-then compares the two sides.
+run, so an interrupted invocation keeps every run it finished. An
+existing OUT is extended: its runs are kept, and pairs of the same
+workload and seed are numbered on from its last. ``python3
+tools/bench_compare.py OUT`` then compares the two sides.
 
 Usage::
 
