@@ -88,6 +88,11 @@ class ChecksummedSwap:
         #: the count of corruptions delivered *unverified* — the
         #: ``undetected_corruptions`` evidence.
         self.corruptions_caught = 0
+        # Each IO in flight, by the inner backing's event: the event
+        # this wrapper returned for it and what its completion needs.
+        self._inflight = {}
+        self._write_complete_cb = self._write_complete
+        self._verify_cb = self._verify
         metrics = metrics if metrics is not None else NULL_REGISTRY
         self._c_detected = metrics.counter(
             "integrity_corruptions_detected_total",
@@ -140,12 +145,13 @@ class ChecksummedSwap:
         digest = checksum(blok_payload(self.name, blok, generation))
         done = self.sim.event(self._write_name)
         inner = self.inner.write(blok)
-        inner.add_callback(
-            lambda ev, b=blok, g=generation, d=digest:
-            self._write_complete(ev, done, b, g, d))
+        self._inflight[inner] = (done, blok, generation, digest)
+        inner.add_callback(self._write_complete_cb)
         return done
 
-    def _write_complete(self, inner, done, blok, generation, digest):
+    def _write_complete(self, inner):
+        """Write-completion hook: record the digest, settle the event."""
+        done, blok, generation, digest = self._inflight.pop(inner)
         if not inner.ok:
             done.fail(inner._value)
             return
@@ -169,12 +175,13 @@ class ChecksummedSwap:
                 % (blok, self.name), blok=blok, source=source))
             return done
         inner = self.inner.read(blok)
-        inner.add_callback(
-            lambda ev, b=blok, s=source: self._verify(ev, done, b, s))
+        self._inflight[inner] = (done, blok, source)
+        inner.add_callback(self._verify_cb)
         return done
 
-    def _verify(self, inner, done, blok, source):
+    def _verify(self, inner):
         """Read-completion hook: compare digests, dispatch repair."""
+        done, blok, source = self._inflight.pop(inner)
         if not inner.ok:
             done.fail(inner._value)
             return

@@ -23,22 +23,26 @@ blocked and a worker finishes the job once activations are on.
 """
 
 from collections import deque
+from functools import partial
 
 from repro.hw.mmu import FaultCode
 from repro.kernel.threads import Compute, ThreadState, Wait
 from repro.mm.sdriver import FaultOutcome, FaultTimeout
+from repro.obs.metrics import ChildCache
 from repro.regimes.registry import PagerRegistry
+from repro.sim.core import Deadline
 from repro.sim.units import fmt_time
 
 
 class _WorkerSlot:
     """Watchdog bookkeeping for one MMEntry worker thread."""
 
-    __slots__ = ("thread", "fault")
+    __slots__ = ("thread", "fault", "watchdog")
 
     def __init__(self):
         self.thread = None
         self.fault = None      # fault currently being resolved
+        self.watchdog = None   # its Deadline, re-armed per slow fault
 
 
 class MMEntry:
@@ -51,6 +55,9 @@ class MMEntry:
     the same shape as the intrusive-revocation penalty: miss the
     deadline and the faulting thread is killed rather than letting the
     whole domain wedge behind one stuck fault. ``None`` disables it.
+    Each worker slot re-arms one :class:`~repro.sim.core.Deadline` per
+    slow fault, so a fault resolved in time leaves no entry behind on
+    the simulator's heap.
     """
 
     def __init__(self, domain, frames_client, pagetable, workers=1,
@@ -108,10 +115,16 @@ class MMEntry:
         # Per-driver (and hence per-regime) fault/revocation counters:
         # the domain-level families above stay untouched for existing
         # dashboards; these add the ``driver`` label for separability.
-        self._f_sdriver_faults = metrics.counter(
+        sdriver_faults = metrics.counter(
             "sdriver_faults_total",
             help="faults resolved per stretch driver, by driver and "
                  "path (fast/slow)")
+        self._sdriver_fast = ChildCache(
+            lambda driver: sdriver_faults.child(driver=driver.name,
+                                                path="fast"))
+        self._sdriver_slow = ChildCache(
+            lambda driver: sdriver_faults.child(driver=driver.name,
+                                                path="slow"))
         self._f_sdriver_released = metrics.counter(
             "sdriver_revocation_released_total",
             help="frames arranged for revocation per stretch driver, "
@@ -122,10 +135,11 @@ class MMEntry:
         self.revocation_channel = domain.create_channel(
             "revocation", handler=self._revocation_notification)
         frames_client.revocation_channel = self.revocation_channel
-        self._watchdog_cb = self._watchdog_fire
         self._slots = []
         for index in range(workers):
             slot = _WorkerSlot()
+            slot.watchdog = Deadline(self.sim,
+                                     partial(self._watchdog_fire, slot))
             slot.thread = domain.add_thread(
                 self._worker_body(slot),
                 name="%s-mmworker-%d" % (domain.name, index))
@@ -176,7 +190,8 @@ class MMEntry:
     def _fault_notification(self, fault):
         """Handle a fault event: fast path, else queue for a worker."""
         self.meter.charge("notify_handler")
-        override = self._fault_overrides.get(fault.code)
+        override = (self._fault_overrides.get(fault.code)
+                    if self._fault_overrides else None)
         if override is not None:
             self.meter.charge("fault_decode")
             outcome = override(fault)
@@ -197,7 +212,7 @@ class MMEntry:
         self.meter.charge("sdriver_fast")
         outcome = driver.try_fast(fault)
         if outcome is FaultOutcome.SUCCESS:
-            self._f_sdriver_faults.inc(driver=driver.name, path="fast")
+            self._sdriver_fast[driver].inc()
             self._resolved_fast(fault)
         elif outcome is FaultOutcome.RETRY:
             self.meter.charge("thread_block")
@@ -243,9 +258,7 @@ class MMEntry:
                                             va=payload.va)
                     slot.fault = payload
                     if self.fault_timeout is not None:
-                        self.sim._schedule(self.fault_timeout,
-                                           self._watchdog_cb,
-                                           (slot, payload))
+                        slot.watchdog.arm(self.fault_timeout, payload)
                     try:
                         ok = yield from driver.handle_slow(payload)
                     except FaultTimeout:
@@ -255,8 +268,7 @@ class MMEntry:
                     if ok:
                         self.slow_resolved += 1
                         if driver is not None:
-                            self._f_sdriver_faults.inc(driver=driver.name,
-                                                       path="slow")
+                            self._sdriver_slow[driver].inc()
                         self._h_latency.observe(self.sim.now - payload.time)
                         self.domain.resume_thread(payload.thread)
                     else:
@@ -267,9 +279,9 @@ class MMEntry:
             self._work_event = self.sim.event("mmentry.work")
             yield Wait(self._work_event)
 
-    def _watchdog_fire(self, watched):
-        """The per-fault resolution deadline of ``watched``, a ``(slot,
-        fault)`` pair, passed: unwedge the worker.
+    def _watchdog_fire(self, slot, fault):
+        """The resolution deadline of ``fault``, the last one ``slot``'s
+        worker took, passed: unwedge the worker.
 
         If the worker already moved on, this is a no-op. Otherwise the
         worker is blocked on an IO event that never (or too late)
@@ -277,7 +289,6 @@ class MMEntry:
         :class:`FaultTimeout` at it, so the faulting thread is killed
         instead of the whole MMEntry wedging behind one stuck fault.
         """
-        slot, fault = watched
         if slot.fault is not fault:
             return   # resolved (or failed) in time
         worker = slot.thread

@@ -37,7 +37,7 @@ class Rights:
     way.
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_bits", "_grants")
 
     _ORDER = (Right.READ, Right.WRITE, Right.EXECUTE, Right.META)
 
@@ -47,7 +47,15 @@ class Rights:
             if not isinstance(right, Right):
                 raise TypeError("expected Right, got %r" % (right,))
             bits = bits | {right}
+        self._set_bits(bits)
+
+    def _set_bits(self, bits):
         self._bits = bits
+        # What permits() grants, as a tuple: ``in`` on it compares by
+        # identity, where a set or dict lookup would call the Python
+        # Enum.__hash__ once per member, and permits() runs per access.
+        self._grants = tuple(r for r in self._ORDER if r in bits) + tuple(
+            kind for kind, right in _ACCESS_TO_RIGHT.items() if right in bits)
 
     @classmethod
     def parse(cls, text):
@@ -73,10 +81,8 @@ class Rights:
         Accepts an :class:`~repro.hw.mmu.AccessKind` (for MMU checks) or
         a :class:`Right` (for meta checks).
         """
-        if isinstance(access, AccessKind):
-            return _ACCESS_TO_RIGHT[access] in self._bits
-        if isinstance(access, Right):
-            return access in self._bits
+        if isinstance(access, (AccessKind, Right)):
+            return access in self._grants
         raise TypeError("expected AccessKind or Right, got %r" % (access,))
 
     @property
@@ -90,7 +96,7 @@ class Rights:
     @classmethod
     def _from_bits(cls, bits):
         new = cls()
-        new._bits = bits
+        new._set_bits(bits)
         return new
 
     def __or__(self, other):

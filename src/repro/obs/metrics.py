@@ -12,7 +12,8 @@ Design notes:
 
 * Instruments are *families* keyed by label sets. Hot paths bind a
   child once (``family.child(domain="a")``) and pay one attribute load
-  plus an integer add per event.
+  plus an integer add per event; one whose labels are known only per
+  event keeps its children in a :class:`ChildCache`.
 * A disabled registry (``MetricsRegistry(enabled=False)``) hands out
   shared null instruments whose mutators are no-ops and which allocate
   nothing per call — instrumented code needs no ``if metrics:`` guards.
@@ -328,6 +329,27 @@ class HistogramFamily(_Family):
     def _export(self, cell):
         return {"count": cell.count, "sum": cell.sum,
                 "buckets": list(cell.counts)}
+
+
+class ChildCache(dict):
+    """Bound instruments by a caller's key, each bound on first use.
+
+    For a per-event path whose label values are only known at run time
+    (a driver's name, a span's name and client): ``cache[key]`` is one
+    dict lookup, where ``family.inc(**labels)`` sorts a label dict per
+    call. ``bind(key)`` returns the bound child for ``key``, e.g.
+    ``ChildCache(lambda driver: family.child(driver=driver.name))``.
+    """
+
+    __slots__ = ("_bind",)
+
+    def __init__(self, bind):
+        super().__init__()
+        self._bind = bind
+
+    def __missing__(self, key):
+        child = self[key] = self._bind(key)
+        return child
 
 
 # Default latency bucket bounds (ns): 1 us .. 10 s, roughly log-spaced.

@@ -20,7 +20,7 @@ simulated time is then current::
 
 from contextlib import contextmanager
 
-from repro.obs.metrics import LATENCY_BUCKETS_NS, NULL_REGISTRY
+from repro.obs.metrics import ChildCache, LATENCY_BUCKETS_NS, NULL_REGISTRY
 
 
 class Span:
@@ -67,9 +67,11 @@ class SpanTracer:
         self.sim = sim
         self.trace = trace
         metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._histogram = metrics.histogram(
+        histogram = metrics.histogram(
             "span_ns", buckets=LATENCY_BUCKETS_NS,
             help="span durations by (name, client)")
+        self._histograms = ChildCache(
+            lambda key: histogram.child(name=key[0], client=key[1]))
         # With no trace attached and a disabled registry a finished span
         # would go nowhere: hand out the shared null span so fully
         # disabled observability allocates nothing per measurement.
@@ -99,7 +101,7 @@ class SpanTracer:
         if self.trace is not None:
             self.trace.record(span.start, "span", span.client,
                               duration=duration, name=span.name, **span.info)
-        self._histogram.observe(duration, name=span.name, client=span.client)
+        self._histograms[span.name, span.client].observe(duration)
 
 
 class NullTracer:

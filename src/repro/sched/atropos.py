@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from heapq import heappush
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.sim.core import SimEvent
+from repro.sim.core import Deadline, SimEvent
 from repro.sim.units import fmt_time
 
 
@@ -297,10 +297,11 @@ class AtroposScheduler:
         self._complete_cb = self._complete
         self._guard_cb = self._guard
         self._guarded_cb = self._guarded
-        self._lax_timer_cb = self._lax_timer
         self._lax_close_cb = self._lax_close
         self._lax_kicked_cb = self._lax_kicked
         self._lax_end_cb = self._lax_end
+        # Re-armed per lax wait: a wait a kick closed leaves no entry.
+        self._lax_deadline = Deadline(sim, self._lax_timer)
         # The loop starts from the heap, after whatever the caller does
         # at this instant.
         sim._schedule(0, self._run)
@@ -669,9 +670,7 @@ class AtroposScheduler:
                 self._lax_started = sim._now
                 self._lax_waits += 1
                 self._lax_wait = token = self._lax_waits
-                sim._seq += 1
-                heappush(sim._heap, (sim._now + allowance, sim._seq,
-                                     self._lax_timer_cb, token))
+                self._lax_deadline.arm(allowance, token)
                 self._waiting_on = wake = self._wait_kick()
                 wake.add_callback(self._lax_kicked_cb)
                 return

@@ -13,6 +13,8 @@ The design is a small, from-scratch process-based simulator:
   :class:`SimEvent` suspends the process until the event triggers. A
   process is itself an event (it triggers when the generator returns), so
   processes can join one another.
+* :class:`~repro.sim.core.Deadline` is a re-armable timer: each arm
+  supersedes the last without leaving a dead entry per arm on the heap.
 * :class:`~repro.sim.trace.Trace` records timestamped, typed trace events
   (the USD scheduler traces of Figures 7 and 8 are rendered from these).
 
@@ -24,6 +26,7 @@ every experiment is exactly reproducible.
 from repro.sim.core import (
     AllOf,
     AnyOf,
+    Deadline,
     Interrupt,
     Process,
     SimEvent,
@@ -36,6 +39,7 @@ from repro.sim.units import MS, NS, SEC, US, fmt_time, from_ms, from_sec, from_u
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Deadline",
     "Interrupt",
     "MS",
     "NS",

@@ -362,6 +362,76 @@ class Process(SimEvent):
             target.sim._schedule(0, self._on_event_cb, target)
 
 
+class Deadline:
+    """A re-armable timer: ``fn(arg)`` runs for the latest :meth:`arm`.
+
+    It stands for one ``_schedule(delay, fn, arg)`` per arm, for an
+    owner whose every arm supersedes the one before (a watchdog re-armed
+    per fault, a timeout re-armed per wait), so that a superseded arm's
+    entry would only pop to return at once. :meth:`arm` takes its
+    sequence number when it is called, as that push would, but pushes
+    an entry only when its time is earlier than every entry the timer
+    already has on the heap. An entry that pops for a superseded arm
+    calls nothing and re-pushes itself at the ``(time, seq)`` of what is
+    still to come: the latest arm, and after it the latest time ever
+    armed. So ``fn(arg)`` runs for the latest arm alone, exactly where
+    its own entry would have popped, and a heap run to exhaustion still
+    stops at the same instant. The timer's entries form a stack, the
+    earliest on top, since each push is earlier than those below it.
+    The owner keeps its own check, because the latest arm may be stale
+    by the time it fires.
+    """
+
+    __slots__ = ("sim", "fn", "_due", "_arg", "_last", "_entries", "_pop_cb")
+
+    def __init__(self, sim, fn):
+        self.sim = sim
+        self.fn = fn
+        self._due = None      # (time, seq) of the latest arm, until it fires
+        self._arg = None
+        self._last = None     # (time, seq) of the latest time ever armed
+        self._entries = []    # (time, seq) of this timer's heap entries
+        self._pop_cb = self._pop
+
+    def arm(self, delay, arg):
+        """Run ``fn(arg)`` after ``delay`` nanoseconds, in place of every
+        earlier arm that has not fired yet."""
+        if delay < 0:
+            raise ValueError("cannot arm into the past (delay=%r)" % delay)
+        sim = self.sim
+        sim._seq += 1
+        due = (sim._now + delay, sim._seq)
+        self._due = due
+        self._arg = arg
+        last = self._last
+        if last is None or due[0] > last[0]:
+            self._last = due
+        entries = self._entries
+        if not entries or due[0] < entries[-1][0]:
+            entries.append(due)
+            heapq.heappush(sim._heap, (due[0], due[1], self._pop_cb, _NO_ARG))
+
+    def _pop(self):
+        """The earliest of the timer's entries popped: re-push it toward
+        what is still to come, then run ``fn`` if it was the latest
+        arm's."""
+        entries = self._entries
+        key = entries.pop()
+        fire = key == self._due
+        if fire:
+            arg = self._arg
+            self._due = self._arg = None
+        ahead = self._due
+        if ahead is None and self._last[0] > key[0]:
+            ahead = self._last
+        if ahead is not None and (not entries or ahead[0] < entries[-1][0]):
+            entries.append(ahead)
+            heapq.heappush(self.sim._heap,
+                           (ahead[0], ahead[1], self._pop_cb, _NO_ARG))
+        if fire:
+            self.fn(arg)
+
+
 class Simulator:
     """Owns the clock and the event heap, and runs processes.
 

@@ -41,7 +41,7 @@ live ones; a real implementation would consult the client's blok map.
 """
 
 from repro.hw.disk import READ, WRITE
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import ChildCache, NULL_REGISTRY
 from repro.usd.usd import BlokLostError
 
 
@@ -106,9 +106,12 @@ class MultiVolumeSwap:
         self._migrated = {}    # slot index -> set of local bloks moved
         self.lost = set()      # (slot index, local blok): data gone
         metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._c_routed = metrics.counter(
+        routed = metrics.counter(
             "usbs_bloks_routed_total",
             help="blok transactions routed, by backing, volume and op")
+        self._routed = ChildCache(
+            lambda key: routed.child(backing=self.name, volume=key[0],
+                                     op=key[1]))
 
     # -- routing ------------------------------------------------------------
 
@@ -160,8 +163,7 @@ class MultiVolumeSwap:
             return done
         slot = self._read_source(index, local)
         self.reads += 1
-        self._c_routed.inc(backing=self.name, volume=slot.volume.name,
-                           op=READ)
+        self._routed[slot.volume.name, READ].inc()
         return self._dispatch(slot.shard, READ, local)
 
     def write(self, blok):
@@ -181,8 +183,7 @@ class MultiVolumeSwap:
         # any time after.
         self.lost.discard((index, local))
         self.writes += 1
-        self._c_routed.inc(backing=self.name, volume=slot.volume.name,
-                           op=WRITE)
+        self._routed[slot.volume.name, WRITE].inc()
         return self._dispatch(slot.shard, WRITE, local)
 
     def slot_for(self, blok, kind=READ):
