@@ -95,7 +95,7 @@ class Rights:
 
     @classmethod
     def _from_bits(cls, bits):
-        new = cls()
+        new = cls.__new__(cls)
         new._set_bits(bits)
         return new
 

@@ -242,12 +242,15 @@ class AtroposScheduler:
       another: :meth:`_complete` asks the item for its next segment
       (:meth:`_advance`) and pushes :meth:`_elapsed` at that one's end;
     * a workless earliest-deadline client gets the same-instant guard,
-      :meth:`_guard` then :meth:`_guarded`, and may then lax-wait: a
-      timed entry, :meth:`_lax_timer`, carries the wait's token, and
-      :meth:`_lax_kicked` is registered on the wake event. The timer
-      closes the wait one same-instant hop later (:meth:`_lax_close`)
-      and a kick at once, whichever comes first, and the charge
-      (:meth:`_lax_end`) is one more hop;
+      :meth:`_guard` then :meth:`_guarded`, and may then lax-wait: the
+      scheduler's one :class:`~repro.sim.core.Deadline` is re-armed to
+      call :meth:`_lax_timer` with the wait's token at the allowance's
+      end, and :meth:`_lax_kicked` is registered on the wake event. The
+      timer closes the wait one same-instant hop later
+      (:meth:`_lax_close`) and a kick at once, whichever comes first,
+      and the charge (:meth:`_lax_end`) is one more hop. A kick does
+      not disarm the timer, but once the next wait re-arms it the kicked
+      wait keeps no heap entry of its own;
     * with nothing runnable the loop waits for a kick in
       :meth:`_on_wake`.
 
@@ -259,11 +262,12 @@ class AtroposScheduler:
     wait's hops call their same-instant successor inline when nothing
     else is due at this instant. docs/PERFORMANCE.md ("one CPU burst",
     "one disk transaction", "one USD client completion") explains why
-    each of these heap entries stays otherwise. A crash leaves the dead
-    loop's continuations registered: each one returns at once, since a
-    timed entry carries the number of the loop's life that pushed it
-    (or the token of a lax wait the crash closed) and an event callback
-    must match :attr:`_waiting_on`.
+    each of these heap entries stays otherwise, and "deadlines" why the
+    lax timer's do. A crash leaves the dead loop's continuations
+    registered: each one returns at once, since a timed entry carries
+    the number of the loop's life that pushed it (or the token of a lax
+    wait the crash closed) and an event callback must match
+    :attr:`_waiting_on`.
     """
 
     def __init__(self, sim, name="atropos", trace=None, rollover=True,
@@ -300,7 +304,7 @@ class AtroposScheduler:
         self._lax_close_cb = self._lax_close
         self._lax_kicked_cb = self._lax_kicked
         self._lax_end_cb = self._lax_end
-        # Re-armed per lax wait: a wait a kick closed leaves no entry.
+        # Re-armed per lax wait, so the waits share its few heap entries.
         self._lax_deadline = Deadline(sim, self._lax_timer)
         # The loop starts from the heap, after whatever the caller does
         # at this instant.
@@ -656,8 +660,9 @@ class AtroposScheduler:
 
         Lax wait: the earliest-deadline client has no work. Hold the
         resource for it, charging the wait, until work arrives or its
-        lax/remaining budget runs out: a timed entry carrying the wait's
-        token, and :meth:`_lax_kicked` registered on the wake event.
+        lax/remaining budget runs out: the lax deadline re-armed with the
+        wait's token, and :meth:`_lax_kicked` registered on the wake
+        event.
         """
         if life != self._life:
             return

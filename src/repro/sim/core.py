@@ -36,6 +36,12 @@ with the clock unmoved, to run a same-instant hand-off (a burst's or
 segment's completion, the Atropos guard, the end of a lax wait) inline
 instead of queueing it behind nothing, as the file-system client does
 to submit its next read.
+
+A deadline that is re-armed far more often than it is reached (the
+MMEntry's fault watchdog, re-armed per slow fault; the Atropos lax
+timer, re-armed per lax wait) is a :class:`Deadline`: its superseded
+arms leave no entry of their own on the heap, where one entry per arm
+would pop only to return at once.
 """
 
 import heapq

@@ -10,11 +10,12 @@ copied), and prints:
   and their size.
 
 A callable is named by its qualified name (``AtroposScheduler._elapsed``;
-a ``functools.partial`` as ``partial(...)`` of its function). The counts
-are deterministic at a seed. Entries are counted as ``repro.sim.core``
-pops them, so the tool slows the window down; it measures no time.
-A mission_mix window builds one simulator per mission: its counts are
-summed over them.
+a ``functools.partial`` as ``partial(...)`` of its function, and a
+``Deadline``'s entry as ``Deadline(...)`` of the callable it fires).
+The counts are deterministic at a seed. Entries are counted as
+``repro.sim.core`` pops them, so the tool slows the window down; it
+measures no time. A mission_mix window builds one simulator per
+mission: its counts are summed over them.
 
 Usage::
 
@@ -35,6 +36,9 @@ def label(fn):
     """The name a heap entry's callable is counted under."""
     if isinstance(fn, functools.partial):
         return "partial(%s)" % label(fn.func)
+    owner = getattr(fn, "__self__", None)
+    if type(owner).__name__ == "Deadline":
+        return "Deadline(%s)" % label(owner.fn)
     return getattr(fn, "__qualname__", None) or type(fn).__qualname__
 
 
